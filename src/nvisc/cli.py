@@ -196,6 +196,9 @@ def parse_config(text: str, base_dir: Path, source: str = "config") -> RunConfig
         except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: malformed number for '{key}': {val!r}")
+        if kind != _PATH and not np.all(np.isfinite(values[key])):
+            raise ConfigError(
+                f"{source}:{lineno}: non-finite number for '{key}': {val!r}")
     missing = [k for k, (_, req, _) in _SCHEMA.items()
                if req and k not in values]
     if missing:

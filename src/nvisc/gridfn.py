@@ -19,7 +19,6 @@ import dataclasses
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.signal import convolve as _signal_convolve
 
 __all__ = [
     "GridFunction",
@@ -141,9 +140,7 @@ def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
             f"convolve needs equal grid steps, got {a.step} and {b.step}; "
             "resample one operand first"
         )
-    vals = _signal_convolve(a.values, b.values, mode="full", method="auto") * a.step
-    # fft round-off can leave tiny negatives on nonneg inputs; keep as-is,
-    # downstream normalisation tolerances absorb it
+    vals = np.convolve(a.values, b.values) * a.step
     return GridFunction(a.omega_min + b.omega_min, a.step, vals)
 
 

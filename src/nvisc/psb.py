@@ -1,5 +1,5 @@
-"""Phonon-sideband model: one-phonon spectra and their Poisson-weighted
-self-convolutions.
+"""Phonon-sideband model: one-phonon spectra and the Poisson series of
+their self-convolutions.
 
 The emission sideband is represented by a vibrational overlap density
 F(omega) (meV^-1).  Internally F is carried in the unit-emission
@@ -13,6 +13,18 @@ sideband tables may come in a different amplitude convention; their
 overall factor is preserved separately as ``PsbModel.scale`` so the
 dimensionless machinery stays normalized while rate formulas see the
 calibrated amplitude.
+
+The series is built in closed form (the generating function of Lax,
+J. Chem. Phys. 20, 1752 (1952); Alkauskas et al., New J. Phys. 16,
+073026 (2014)): with g^ the discrete Fourier transform of h F_1, the
+transform of h F is exp(S g^ - S) - e^{-S}, so one real FFT replaces the
+convolution loop.  The output window is the span of the first
+i_max = poisson_i_max(S) terms, [i_max a, i_max b] for F_1 on [a, b];
+the FFT length is the smallest 2*3*5-smooth length covering it, so only
+terms beyond i_max (Poisson tail below 1e-9) can alias into the window.
+The exponent has non-positive real part, so it cannot overflow at any S.
+FFT round-off negatives are clipped to 0; a sample below -1e-12 of the
+peak raises instead.
 
 At finite temperature the one-phonon function gains an absorption branch,
 
@@ -29,9 +41,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
-from .gridfn import GridFunction, convolve, integrate, read_csv
+from .gridfn import GridFunction, integrate, read_csv
 from .units import thermal_energy
 
 __all__ = [
@@ -89,10 +100,11 @@ def thermal_occupation(omega_mev, temperature_k: float):
 
 
 def poisson_i_max(s: float) -> int:
-    """Truncation index for the Poisson-weighted convolution series.
+    """Number of Poisson terms whose span sets the sideband grid length
+    (and the depth of the marching solve).
 
-    max(20, ceil(s + 10 sqrt(s))) keeps the neglected tail weight below
-    1e-9 for any s.
+    max(20, ceil(s + 10 sqrt(s))) keeps the weight of the terms beyond it
+    below 1e-9 for any s.
     """
     if s < 0:
         raise ValueError("mean phonon count must be >= 0")
@@ -139,68 +151,63 @@ def huang_rhys(f: GridFunction, s0: float, temperature_k: float,
     return s0 * integrate(weighted, 0.0, omega_cap)
 
 
-def _poisson_weights(s: float, i_max: int) -> np.ndarray:
-    """e^{-s} s^i / i! for i = 1..i_max, computed in log space."""
-    i = np.arange(1, i_max + 1, dtype=float)
-    return np.exp(-s + i * math.log(s) - gammaln(i + 1.0))
+def _fft_length(n: int) -> int:
+    """Smallest 2*3*5-smooth integer >= n (a fast real-FFT length)."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _self_convolution_sum(f1: GridFunction, s: float, i_max: int,
-                          crop_len: int | None = None) -> GridFunction:
-    """Accumulate e^{-s} sum_i (s^i/i!) F_i with F_i = F_{i-1} (x) F_1.
-
-    ``crop_len`` truncates every term to its first crop_len samples;
-    since each support starts at i * omega_min this is exact on the kept
-    window when omega_min = 0 (used inside the deconvolution loop).
+def _poisson_sideband(f1: GridFunction, s: float,
+                      crop_len: int | None = None) -> GridFunction:
+    """e^{-s} sum_{i>=1} (s^i/i!) F_i on [i_max a, i_max b] by one real FFT
+    (see the module docstring).  h F_1 sits on a circular grid at index
+    round(omega/h) mod N.  ``crop_len`` instead returns the first crop_len
+    nodes (support from 0, used by the deconvolution verifier).
     """
     h = f1.step
-    weights = _poisson_weights(s, i_max)
-    if crop_len is not None:
-        if abs(f1.omega_min) > 1e-12:
-            raise ValueError("windowed accumulation assumes support from 0")
-        acc = np.zeros(crop_len)
-        term = f1.values[:crop_len]
-        acc[: term.size] += weights[0] * term
-        g = f1
-        for i in range(2, i_max + 1):
-            g = convolve(g, f1)
-            if g.size > crop_len:
-                g = GridFunction(g.omega_min, h, g.values[:crop_len])
-            acc[: g.size] += weights[i - 1] * g.values
-            if weights[i - 1] * np.max(g.values) < 1e-16 and i > 3:
-                break
-        return GridFunction(0.0, h, acc)
-
-    # full-span accumulation: term i spans [i*a, i*b]
     a = f1.omega_min
     n1 = f1.size
-    total_len = (n1 - 1) * i_max + 1
-    acc = np.zeros(total_len)
-    final_min = a * i_max
-    g = f1
-    for i in range(1, i_max + 1):
-        if i > 1:
-            g = convolve(g, f1)
-        # start index of term i inside the final grid
-        off = round((g.omega_min - final_min) / h)
-        acc[off: off + g.size] += weights[i - 1] * g.values
-    return GridFunction(final_min, h, acc)
+    i_max = poisson_i_max(s)
+    span = (n1 - 1) * i_max + 1
+    if crop_len is not None:
+        if abs(a) > 1e-12:
+            raise ValueError("cropped sideband assumes support from 0")
+        size, start, first = crop_len, 0, 0.0
+    else:
+        size, start, first = span, i_max * round(a / h), i_max * a
+    n_fft = _fft_length(max(span, size))
+    ring = np.zeros(n_fft)
+    ring[(round(a / h) + np.arange(n1)) % n_fft] = h * f1.values
+    # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow
+    spec = np.exp(s * np.fft.rfft(ring) - s) - math.exp(-s)
+    full = np.fft.irfft(spec, n_fft) / h
+    vals = full[(start + np.arange(size)) % n_fft]
+    if np.min(vals) < -1e-12 * float(np.max(vals)):
+        raise ArithmeticError(
+            f"closed-form sideband has negative samples down to "
+            f"{np.min(vals):.3e}: FFT grid aliasing")
+    # the series is non-negative; what remains below 0 is FFT round-off
+    np.clip(vals, 0.0, None, out=vals)
+    return GridFunction(first, h, vals)
 
 
-def forward_sideband(f: GridFunction, s0: float,
-                     i_max: int | None = None) -> GridFunction:
+def forward_sideband(f: GridFunction, s0: float) -> GridFunction:
     """Low-temperature sideband from a one-phonon density (unit integral not
     required; f is normalized internally and s0 carries the intensity)."""
     mass = integrate(f)
     if mass <= 0:
         raise ValueError("one-phonon density must have positive mass")
-    fn = f.scaled(1.0 / mass)
-    need = poisson_i_max(s0)
-    if i_max is None:
-        i_max = need
-    elif i_max < need:
-        raise ValueError(f"i_max = {i_max} below truncation requirement {need}")
-    return _self_convolution_sum(fn, s0, i_max)
+    return _poisson_sideband(f.scaled(1.0 / mass), s0)
 
 
 def _marching_solve(target: np.ndarray, h: float, s0: float,
@@ -216,7 +223,9 @@ def _marching_solve(target: np.ndarray, h: float, s0: float,
     can be marched left to right (a Volterra-type inversion).  Negative
     excursions from noise are clipped as we go.
     """
-    w = _poisson_weights(s0, i_max)
+    log_s = math.log(s0)
+    w = [math.exp(-s0 + i * log_s - math.lgamma(i + 1.0))
+         for i in range(1, i_max + 1)]
     f = np.zeros(n_cap)
     conv = np.zeros((i_max + 1, n_cap))  # conv[i] = f^{(x) i}, conv[1] = f
     for k in range(1, n_cap):
@@ -276,7 +285,7 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     residual = math.inf
     for it in range(1, max_iter + 1):
         f = GridFunction(0.0, h, f_vals)
-        fwd = _self_convolution_sum(f, s0, i_max, crop_len=n_win)
+        fwd = _poisson_sideband(f, s0, crop_len=n_win)
         diff = target - fwd.values
         residual = float(np.trapezoid(np.abs(diff), dx=h))
         if residual < tol:
@@ -293,25 +302,18 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
         f"iterations (residual {residual:.3e})", residual, max_iter)
 
 
-def thermal_overlap(model: "PsbModel", temperature_k: float,
-                    i_max: int | None = None) -> GridFunction:
+def thermal_overlap(model: "PsbModel", temperature_k: float) -> GridFunction:
     """Temperature-dependent sideband in the unit-emission convention.
 
-    Builds F_1(omega, T), normalizes it, and sums Poisson-weighted
-    self-convolutions with intensity S(T); the result integrates to
-    1 - e^{-S(T)} up to the truncation tail (< 1e-9).  Note the model's
+    Builds F_1(omega, T), normalizes it, and forms the Poisson series of
+    its self-convolutions with intensity S(T) in closed form; the result
+    integrates to 1 - e^{-S(T)} up to FFT round-off.  Note the model's
     amplitude calibration is NOT applied here; see
     ``PsbModel.calibrated_overlap``.
     """
     s_t = model.huang_rhys_at(temperature_k)
-    need = poisson_i_max(s_t)
-    if i_max is None:
-        i_max = need
-    elif i_max < need:
-        raise ValueError(f"i_max = {i_max} below truncation requirement {need}")
     f1t = thermal_one_phonon(model.f1, temperature_k)
-    f1n = f1t.scaled(1.0 / integrate(f1t))
-    return _self_convolution_sum(f1n, s_t, i_max)
+    return _poisson_sideband(f1t.scaled(1.0 / integrate(f1t)), s_t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -412,13 +414,12 @@ class PsbModel:
     def huang_rhys_at(self, temperature_k: float) -> float:
         return huang_rhys(self.f1, self.s0, temperature_k, self.omega_mev)
 
-    def calibrated_overlap(self, temperature_k: float = 0.0,
-                           i_max: int | None = None) -> GridFunction:
+    def calibrated_overlap(self, temperature_k: float = 0.0) -> GridFunction:
         """Thermal sideband with the source-table amplitude applied."""
-        key = (float(temperature_k), i_max)
+        key = float(temperature_k)
         cache: dict = self._overlap_cache
         if key not in cache:
-            cache[key] = thermal_overlap(self, temperature_k, i_max).scaled(self.scale)
+            cache[key] = thermal_overlap(self, temperature_k).scaled(self.scale)
         return cache[key]
 
     def roundtrip_residual(self) -> float:

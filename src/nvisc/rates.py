@@ -265,13 +265,12 @@ def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
 def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
                        psb: PsbModel, ls: LevelSpacings,
                        temperature_k: float, step: float = RATE_STEP,
-                       branch: str = "both",
-                       i_max: int | None = None) -> GridFunction:
+                       branch: str = "both") -> GridFunction:
     """Spectral decomposition of the finite-T assisted rate (MHz/meV)
     over the phonon energy axis [0, Omega]; integrates to the rate."""
     if branch not in ("both", "emission", "absorption"):
         raise ValueError("branch must be both, emission or absorption")
-    f_t = psb.calibrated_overlap(temperature_k, i_max)
+    f_t = psb.calibrated_overlap(temperature_k)
     upper = pc.omega_mev
     n = max(2, int(math.ceil(upper / step)) + 1)
     om = np.linspace(0.0, upper, n)
@@ -295,12 +294,10 @@ def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
 
 def gamma_e12_finiteT(so: SpinOrbitParams, pc: PhononCoupling,
                       psb: PsbModel, ls: LevelSpacings,
-                      temperature_k: float, step: float = RATE_STEP,
-                      i_max: int | None = None) -> RateResult:
+                      temperature_k: float, step: float = RATE_STEP) -> RateResult:
     """Finite-temperature assisted crossing rate (MHz): the integral of
     gamma_e12_spectral, with bands from the ratio and eta extremes."""
-    spectral = gamma_e12_spectral(so, pc, psb, ls, temperature_k, step,
-                                  i_max=i_max)
+    spectral = gamma_e12_spectral(so, pc, psb, ls, temperature_k, step)
     value = integrate(spectral)
 
     def scale_to(ratio, eta_mhz):

@@ -205,6 +205,28 @@ def test_malformed_number_cites_line(config_path, tmp_path, capsys):
     assert "delta_mev" in err and "39x.0" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("lifetime", "temperature_k", "nan"),
+    ("rate-e12", "temperature_k", "nan"),
+    ("psb-build", "temperature_k", "nan"),
+    ("mix", "delta_xy_ghz", "inf"),
+    ("rate-a1", "delta_mev", "-inf"),
+    ("lifetime", "epsilon_list", "0.0, nan, 1.0"),
+])
+def test_non_finite_value_cites_key_and_line(config_path, tmp_path, capsys,
+                                             command, key, value):
+    lines = config_path.read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith(f"{key} =")]
+    lines.append(f"{key} = {value}")
+    p = tmp_path / "c.txt"
+    p.write_text("\n".join(lines) + "\n")
+    assert cli.main([command, "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and f"c.txt:{len(lines)}:" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_disordered_band_rejected(config_path, tmp_path, capsys):
     text = config_path.read_text().replace("perp_ratio_hi = 1.4",
                                            "perp_ratio_hi = 1.1")

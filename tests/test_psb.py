@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvisc.gridfn import GridFunction, integrate
+from nvisc.gridfn import GridFunction, convolve, integrate
 from nvisc.psb import (
     DeconvolutionError,
     PsbModel,
+    _fft_length,
     extract_one_phonon,
     forward_sideband,
     huang_rhys,
@@ -172,10 +173,53 @@ def test_forward_sideband_mass():
         assert integrate(fb) == pytest.approx(1 - math.exp(-s0), rel=1e-9)
 
 
-def test_forward_sideband_imax_guard():
-    f = smooth_density([64], [9], [1.0])
-    with pytest.raises(ValueError, match="truncation"):
-        forward_sideband(f, 3.49, i_max=5)
+def convolution_series(f1, s):
+    """Reference: explicit Poisson-weighted loop of gridfn.convolve terms
+    on the window [i_max a, i_max b] of the first i_max terms.  Terms up
+    to 2 i_max are kept (cropped to the window), so the truncation tail
+    does not mask a difference."""
+    i_max = poisson_i_max(s)
+    h = f1.step
+    final_min = i_max * f1.omega_min
+    acc = np.zeros((f1.size - 1) * i_max + 1)
+    g = f1
+    for i in range(1, 2 * i_max + 1):
+        if i > 1:
+            g = convolve(g, f1)
+        off = round((g.omega_min - final_min) / h)
+        weight = math.exp(-s) * s**i / math.factorial(i)
+        lo, hi = max(off, 0), min(off + g.size, acc.size)
+        if hi > lo:
+            acc[lo:hi] += weight * g.values[lo - off: hi - off]
+    return GridFunction(final_min, h, acc)
+
+
+@pytest.mark.parametrize("temperature_k", [0.0, 300.0])
+def test_closed_form_matches_convolution_series(temperature_k):
+    f = smooth_density([18, 26], [3, 4], [0.6, 0.4], step=0.5, span=40.0,
+                       onset=5.0)
+    f1 = thermal_one_phonon(f, temperature_k)
+    f1 = f1.scaled(1.0 / integrate(f1))
+    s = 3.49
+    ref = convolution_series(f1, s)
+    got = forward_sideband(f1, s)
+    assert got.omega_min == ref.omega_min
+    assert got.step == ref.step
+    assert got.size == ref.size
+    assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * np.max(ref.values)
+
+
+def test_fft_length_is_smallest_smooth():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 3000):
+        m = _fft_length(n)
+        assert m >= n and smooth(m)
+        assert not any(smooth(k) for k in range(n, m))
 
 
 # ----------------------------------------------------- deconvolution
@@ -296,10 +340,18 @@ def test_overlap_second_moment_monotone():
     assert all(b >= a - 1e-9 for a, b in zip(moments, moments[1:]))
 
 
-def test_overlap_imax_guard():
-    m = model_from([64], [9], [1.0], step=0.5)
-    with pytest.raises(ValueError, match="truncation"):
-        thermal_overlap(m, 300.0, i_max=4)
+@pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0, 700.0, 2000.0])
+def test_overlap_mass_is_poisson_complement(temperature_k):
+    m = model_from([44, 64], [10, 9], [0.4, 0.6], step=0.5)
+    s_t = m.huang_rhys_at(temperature_k)
+    mass = integrate(thermal_overlap(m, temperature_k))
+    assert mass == pytest.approx(-math.expm1(-s_t), rel=1e-12)
+
+
+@pytest.mark.parametrize("temperature_k", [5.0, 300.0, 2000.0])
+def test_overlap_nonnegative(temperature_k):
+    m = model_from([44, 64], [10, 9], [0.4, 0.6], step=0.5)
+    assert np.all(thermal_overlap(m, temperature_k).values >= 0.0)
 
 
 # ------------------------------------------------------------ model
