@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nvisc.gridfn import GridFunction, MeasuredBand, band_intersections, crop, integrate, write_csv
+from nvisc.gridfn import (GridFunction, MeasuredBand, band_intersections, crop, integrate,
+                          write_csv, write_table)
 from nvisc.psb import PsbModel, forward_sideband
 from nvisc.rates import (
     LevelSpacings,
@@ -334,14 +335,12 @@ def write_lifetime_table() -> float:
     rng = np.random.default_rng(734229)
     noise = np.clip(rng.normal(0.0, 0.25, temps.size), -0.6, 0.6)
     tau_obs = tau + noise * sigma
-    lines = [
-        "# Digitized high-temperature fluorescence lifetimes, shelf spin class.",
-        "temperature_K,tau_ns,sigma_ns,spin_class",
-    ]
-    for t, v, sg in zip(temps, tau_obs, sigma):
-        lines.append(f"{t:.10g},{v:.6g},{sg:.4g},ms0")
-    (DATA_DIR / "high_temperature_lifetimes.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8")
+    write_table(
+        DATA_DIR / "high_temperature_lifetimes.csv",
+        (("temperature_K", ".10g"), ("tau_ns", ".6g"), ("sigma_ns", ".4g"),
+         ("spin_class", "")),
+        zip(temps, tau_obs, sigma, ["ms0"] * temps.size),
+        header_comment="Digitized high-temperature fluorescence lifetimes, shelf spin class.")
     return s
 
 
@@ -353,8 +352,11 @@ def write_mixing_table():
     sigmas = 0.04 * rates_clean
     rng = np.random.default_rng(515027)
     noise = np.clip(rng.normal(0.0, 0.6, temps.size), -1.5, 1.5)
-    MixSeries(temps, rates_clean + noise * sigmas, sigmas).to_csv(
+    series = MixSeries(temps, rates_clean + noise * sigmas, sigmas)
+    write_table(
         DATA_DIR / "mixing_rates_synthetic.csv",
+        (("temperature_K", ".10g"), ("gamma_mix_MHz", ".12g"), ("sigma_MHz", ".12g")),
+        zip(series.temperatures_k, series.rates_mhz, series.sigmas_mhz),
         header_comment=("Synthetic two-phonon orbital mixing rates"
                         " (eta = 44 MHz/meV^3, splitting 3.9 GHz)."))
 

@@ -5,8 +5,8 @@ subcommands that emit plot-ready CSVs plus a plain-text run summary.
 Outputs are deterministic for fixed inputs: no timestamps, atomic
 write-temp-then-rename file creation.
 
-Exit codes: 0 ok, 2 config error, 3 numerical error, 4 empty inference
-result.
+Exit codes: 0 ok, 2 config error or malformed input table or manifest,
+3 numerical error, 4 empty inference result.
 """
 
 from __future__ import annotations
@@ -15,15 +15,15 @@ import argparse
 import dataclasses
 import importlib.resources
 import math
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import inference, mixing, psb, rates, units
-from .gridfn import GridFunction, IntervalSet, MeasuredBand, integrate, write_csv
+from .gridfn import (FormatError, GridFunction, MeasuredBand, _atomic_write,
+                     integrate, parse_kv, parse_number, write_csv,
+                     write_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,32 +173,18 @@ def _load_model(manifest: Path) -> psb.PsbModel:
 
 def parse_config(text: str, base_dir: Path, source: str = "config") -> RunConfig:
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for key, (val, lineno) in parse_kv(text, source).items():
+        where = f"{source}:{lineno}"
         if key not in _SCHEMA:
-            raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
-        if key in values:
-            raise ConfigError(f"{source}:{lineno}: duplicate key '{key}'")
+            raise ConfigError(f"{where}: unknown key '{key}'")
         kind = _SCHEMA[key][0]
-        try:
-            if kind == _FLOAT:
-                values[key] = float(val)
-            elif kind == _LIST:
-                values[key] = tuple(float(p) for p in val.split(",") if p.strip())
-            else:
-                values[key] = val
-        except ValueError:
-            raise ConfigError(
-                f"{source}:{lineno}: malformed number for '{key}': {val!r}")
-        if kind != _PATH and not np.all(np.isfinite(values[key])):
-            raise ConfigError(
-                f"{source}:{lineno}: non-finite number for '{key}': {val!r}")
+        if kind == _FLOAT:
+            values[key] = parse_number(val, where, f"'{key}'")
+        elif kind == _LIST:
+            values[key] = tuple(parse_number(p, where, f"'{key}'")
+                                for p in val.split(",") if p.strip())
+        else:
+            values[key] = val
     missing = [k for k, (_, req, _) in _SCHEMA.items()
                if req and k not in values]
     if missing:
@@ -246,46 +232,10 @@ def load_config(path_arg: str) -> RunConfig:
 # output helpers
 
 
-def _atomic_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_grid_csv(path: Path, g: GridFunction, header: str,
-                     column_header: str | None = None) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        write_csv(g, tmp, header_comment=header)
-        if column_header is not None:
-            lines = Path(tmp).read_text(encoding="utf-8").splitlines()
-            lines = [column_header if ln == "omega_meV,value" else ln
-                     for ln in lines]
-            Path(tmp).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _intervals_csv(path: Path, found: IntervalSet, header: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        found.to_csv(tmp, header_comment=header)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# (name, format spec) of the interval and lifetime tables
+_INTERVAL_COLUMNS = (("lo_mev", ".6g"), ("hi_mev", ".6g"))
+_CURVE_COLUMNS = (("temperature_K", ".10g"), ("spin_class", ""),
+                  ("epsilon", "g"), ("tau_ns", ".10g"))
 
 
 def _fmt_band(res: rates.RateResult, unit: str = "MHz") -> str:
@@ -309,10 +259,10 @@ def cmd_psb_build(cfg: RunConfig, args, out: Path) -> list[str]:
     t = cfg["temperature_k"]
     cold = model.calibrated_overlap(0.0)
     warm = model.calibrated_overlap(t)
-    _atomic_grid_csv(out / "psb_overlap_0K.csv", cold,
-                     "calibrated sideband overlap at T = 0")
-    _atomic_grid_csv(out / f"psb_overlap_T.csv", warm,
-                     f"calibrated sideband overlap at T = {t:g} K")
+    write_csv(cold, out / "psb_overlap_0K.csv",
+              "calibrated sideband overlap at T = 0")
+    write_csv(warm, out / "psb_overlap_T.csv",
+              f"calibrated sideband overlap at T = {t:g} K")
     return [
         f"sideband intensity S0 = {model.s0:.6g}",
         f"S({t:g} K) = {model.huang_rhys_at(t):.6g}",
@@ -325,9 +275,9 @@ def cmd_psb_build(cfg: RunConfig, args, out: Path) -> list[str]:
 
 def cmd_deconvolve(cfg: RunConfig, args, out: Path) -> list[str]:
     model = cfg.model()
-    _atomic_grid_csv(out / "one_phonon_density.csv", model.f1,
-                     "one-phonon spectral density recovered from the "
-                     "sideband table (unit mass)")
+    write_csv(model.f1, out / "one_phonon_density.csv",
+              "one-phonon spectral density recovered from the "
+              "sideband table (unit mass)")
     return [
         f"one-phonon density mass = {integrate(model.f1):.8g}",
         f"support = [0, {model.f1.omega_max:g}] meV",
@@ -356,9 +306,9 @@ def cmd_rate_e12(cfg: RunConfig, args, out: Path) -> list[str]:
     warm = rates.gamma_e12_finiteT(so, pc, model, ls, t)
     spec = rates.gamma_e12_spectral(so, pc, model, ls, t,
                                     step=args.grid_step or rates.RATE_STEP)
-    _atomic_grid_csv(out / "rate_e12_spectral.csv", spec,
-                     f"assisted-rate spectral density at T = {t:g} K",
-                     "omega_meV,rate_density_MHz_per_meV")
+    write_csv(spec, out / "rate_e12_spectral.csv",
+              f"assisted-rate spectral density at T = {t:g} K",
+              ("omega_meV", "rate_density_MHz_per_meV"))
     return [
         f"Gamma_E12/2pi (T = 0) = {_fmt_band(cold_plain)}",
         f"Gamma_E12/2pi (T = 0, interference-corrected) = "
@@ -397,10 +347,10 @@ def cmd_mix(cfg: RunConfig, args, out: Path) -> list[str]:
 def cmd_mix_spectral(cfg: RunConfig, args, out: Path) -> list[str]:
     mp = cfg.mixing_params()
     spec = mixing.gamma_mix_spectral(mp, step=args.grid_step)
-    _atomic_grid_csv(out / "mix_spectral.csv", spec,
-                     f"two-phonon mixing spectral density at T = "
-                     f"{mp.temperature_k:g} K",
-                     "omega_meV,rate_density_MHz_per_meV")
+    write_csv(spec, out / "mix_spectral.csv",
+              f"two-phonon mixing spectral density at T = "
+              f"{mp.temperature_k:g} K",
+              ("omega_meV", "rate_density_MHz_per_meV"))
     kt = units.thermal_energy(mp.temperature_k)
     peak = spec.grid[int(np.argmax(spec.values))]
     return [
@@ -428,8 +378,8 @@ def cmd_infer_delta(cfg: RunConfig, args, out: Path) -> list[str]:
     raw = inference.infer_delta(so, f0, target, exclusion_floor=0.0,
                                 sweep=(20.0, 600.0, step))
     found = raw.clip_below(cfg["exclusion_floor_mev"])
-    _intervals_csv(out / "delta_intervals.csv", found,
-                   "gap intervals consistent with the measured direct rate")
+    write_table(out / "delta_intervals.csv", _INTERVAL_COLUMNS, found,
+                "gap intervals consistent with the measured direct rate")
     lines = [
         f"target = {target.value:g} MHz in [{target.lo:g}, {target.hi:g}]",
         "raw intervals (meV): "
@@ -447,9 +397,9 @@ def cmd_infer_omega(cfg: RunConfig, args, out: Path) -> list[str]:
     so, pc, ls = cfg.spin_orbit(), cfg.phonon_coupling(), cfg.level_spacings()
     target = cfg.ratio_band()
     found = inference.infer_omega(so, pc, model, ls, target)
-    _intervals_csv(out / "omega_interval.csv", found,
-                   "acoustic-cutoff interval consistent with the measured "
-                   "rate ratio")
+    write_table(out / "omega_interval.csv", _INTERVAL_COLUMNS, found,
+                "acoustic-cutoff interval consistent with the measured "
+                "rate ratio")
     lines = [f"ratio target = {target.value:g} in [{target.lo:g}, "
              f"{target.hi:g}]"]
     if found.is_empty:
@@ -472,12 +422,12 @@ def cmd_lowt_error(cfg: RunConfig, args, out: Path) -> list[str]:
                                       lo=300.0, hi=450.0, step=step)
     errs_o = inference.lowT_error_map(so, pc, model, ls, t, axis="omega",
                                       lo=60.0, hi=110.0, step=step)
-    _atomic_grid_csv(out / "lowt_error_vs_delta.csv", errs_d,
-                     f"relative zero-temperature-limit error at T = {t:g} K",
-                     "delta_meV,relative_error")
-    _atomic_grid_csv(out / "lowt_error_vs_omega.csv", errs_o,
-                     f"relative zero-temperature-limit error at T = {t:g} K",
-                     "omega_cutoff_meV,relative_error")
+    write_csv(errs_d, out / "lowt_error_vs_delta.csv",
+              f"relative zero-temperature-limit error at T = {t:g} K",
+              ("delta_meV", "relative_error"))
+    write_csv(errs_o, out / "lowt_error_vs_omega.csv",
+              f"relative zero-temperature-limit error at T = {t:g} K",
+              ("omega_cutoff_meV", "relative_error"))
     return [
         f"max error vs gap in [300, 450] meV: {float(np.max(errs_d.values)):.3e}",
         f"max error vs cutoff in [60, 110] meV: {float(np.max(errs_o.values)):.3e}",
@@ -492,23 +442,10 @@ def _lifetime_rows(cfg: RunConfig, temperatures) -> inference.LifetimeCurves:
         epsilons=cfg["epsilon_list"])
 
 
-def _curves_csv(path: Path, curves: inference.LifetimeCurves,
-                header: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        curves.to_csv(tmp, header_comment=header)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_lifetime(cfg: RunConfig, args, out: Path) -> list[str]:
     t = cfg["temperature_k"]
     curves = _lifetime_rows(cfg, [t])
-    _curves_csv(out / "lifetimes.csv", curves,
+    write_table(out / "lifetimes.csv", _CURVE_COLUMNS, curves.rows(),
                 f"predicted lifetimes at T = {t:g} K")
     lines = []
     for tt, cls, eps, tau in curves.rows():
@@ -527,9 +464,9 @@ def cmd_fit_mott_seitz(cfg: RunConfig, args, out: Path) -> list[str]:
                               np.array([t]))[0] for t in grid]
     curve = GridFunction(float(grid[0]), float(grid[1] - grid[0]),
                          np.asarray(taus))
-    _atomic_grid_csv(out / "mott_seitz_curve.csv", curve,
-                     "fitted thermal-quenching lifetime curve",
-                     "temperature_K,tau_ns")
+    write_csv(curve, out / "mott_seitz_curve.csv",
+              "fitted thermal-quenching lifetime curve",
+              ("temperature_K", "tau_ns"))
     return [
         f"activation energy = {fit.delta_e_ev:.6g} +- "
         f"{fit.sigma_delta_e_ev:.3g} eV",
@@ -563,7 +500,7 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
     n = int(math.floor((args.to_value - args.from_value) / args.step_value + 1e-9))
     temps = args.from_value + args.step_value * np.arange(n + 1)
     curves = _lifetime_rows(cfg, temps)
-    _curves_csv(out / "lifetime_vs_T.csv", curves,
+    write_table(out / "lifetime_vs_T.csv", _CURVE_COLUMNS, curves.rows(),
                 f"predicted lifetimes, T = {args.from_value:g} .. "
                 f"{args.to_value:g} K step {args.step_value:g} K")
     return [
@@ -635,13 +572,13 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         body = _COMMANDS[args.command](cfg, args, out)
-    except ConfigError as exc:
+    except (ConfigError, FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EmptyResultError as exc:
         summary = _summary_text(args, ["inference returned no interval:",
                                        str(exc)])
-        _atomic_text(Path(args.out) / "summary.txt", summary)
+        _atomic_write(Path(args.out) / "summary.txt", summary)
         if not args.quiet:
             print(summary, end="")
         return EXIT_EMPTY
@@ -650,7 +587,7 @@ def main(argv=None) -> int:
         print(f"numerical error in {args.command}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     summary = _summary_text(args, body)
-    _atomic_text(out / "summary.txt", summary)
+    _atomic_write(out / "summary.txt", summary)
     if not args.quiet:
         print(summary, end="")
     return EXIT_OK

@@ -16,6 +16,9 @@ physical densities here do).
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +31,11 @@ __all__ = [
     "convolve",
     "resample",
     "band_intersections",
+    "FormatError",
+    "parse_number",
+    "parse_kv",
+    "read_table",
+    "write_table",
     "read_csv",
     "write_csv",
 ]
@@ -124,9 +132,8 @@ def integrate(g: GridFunction, lo: float | None = None, hi: float | None = None)
     i0 = max(i0, 0)
     i1 = min(i1, g.size - 1)
     xs = g.omega_min + g.step * np.arange(i0, i1 + 1)
-    pts = [a] + [x for x in xs if a < x < b] + [b]
-    vals = g.sample(np.asarray(pts))
-    return float(np.trapezoid(vals, np.asarray(pts)))
+    pts = np.concatenate(([a], xs[(xs > a) & (xs < b)], [b]))
+    return float(np.trapezoid(g.sample(pts), pts))
 
 
 def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
@@ -239,34 +246,6 @@ class IntervalSet:
             kept.append((max(lo, floor), hi))
         return IntervalSet(tuple(kept))
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("lo_mev,hi_mev")
-        for lo, hi in self.intervals:
-            lines.append(f"{lo:.6g},{hi:.6g}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "IntervalSet":
-        pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#") or line.startswith("lo_mev"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'lo_mev,hi_mev'")
-                try:
-                    pairs.append((float(parts[0]), float(parts[1])))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric row {line!r}") from exc
-        return cls.from_pairs(pairs)
-
 
 def _nonneg_window(y0: float, y1: float) -> tuple[float, float] | None:
     """Parameter window t in [0,1] where (1-t) y0 + t y1 >= 0."""
@@ -315,7 +294,123 @@ def band_intersections(lower: GridFunction, upper: GridFunction,
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: "omega_meV,value" rows, '#' comments, '.' decimals
+# interchange: comma-separated tables and flat "key = value" files, '#'
+# comments, '.' decimals; every input error cites source:line
+
+
+class FormatError(ValueError):
+    """Malformed input table, manifest or config line."""
+
+
+def parse_number(text: str, where: str, what: str) -> float:
+    """``float(text)``, rejecting malformed and non-finite values with a
+    FormatError that cites ``where`` (source:line) and ``what``."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise FormatError(f"{where}: malformed number for {what}: {text!r}") from None
+    if not math.isfinite(x):
+        raise FormatError(f"{where}: non-finite number for {what}: {text!r}")
+    return x
+
+
+def parse_kv(text: str, source) -> dict[str, tuple[str, int]]:
+    """``key = value`` lines as {key: (value, lineno)}; blank lines and
+    '#' comments are skipped, a line without '=' or a repeated key raises."""
+    entries: dict[str, tuple[str, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{source}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise FormatError(f"{source}:{lineno}: duplicate key '{key}'")
+        entries[key] = (val.strip(), lineno)
+    return entries
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def read_table(path, ncols: int, text_cols: Sequence[int] = ()) -> list:
+    """Columns of a comma-separated table with ``ncols`` fields per row.
+
+    Blank lines, '#' comments and a first row with no numeric cell (the
+    column names) are skipped.  Columns listed in ``text_cols`` come back
+    as tuples of stripped strings, the others as float arrays.  A wrong
+    field count, a malformed or non-finite number and a table without
+    rows raise FormatError citing path:line.
+    """
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != ncols:
+                raise FormatError(f"{path}:{lineno}: expected {ncols} "
+                                  f"comma-separated fields, got {len(parts)}")
+            rows.append(parts)
+            linenos.append(lineno)
+    numeric = [c for c in range(ncols) if c not in text_cols]
+    if rows and not any(_is_number(rows[0][c]) for c in numeric):
+        del rows[0], linenos[0]
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    cols: list = list(zip(*rows))
+    try:
+        for c in numeric:
+            cols[c] = np.array([float(cell) for cell in cols[c]])
+        finite = all(np.all(np.isfinite(cols[c])) for c in numeric)
+    except ValueError:
+        finite = False
+    if not finite:
+        # find the first offending cell for the message
+        for parts, lineno in zip(rows, linenos):
+            for c in numeric:
+                parse_number(parts[c], f"{path}:{lineno}", f"column {c + 1}")
+    for c in text_cols:
+        cols[c] = tuple(cell.strip() for cell in cols[c])
+    return cols
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``, so readers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_table(path, columns: Sequence[tuple[str, str]], rows,
+                header_comment: str | None = None) -> None:
+    """Write ``rows`` under a column-name row, atomically.
+
+    ``columns`` holds (name, format spec) pairs; the spec '' prints a
+    float as its shortest round-trip repr.  Each line of
+    ``header_comment`` becomes a '#' line above the column names.
+    """
+    fmt = ",".join(f"{{{i}:{spec}}}" for i, (_, spec) in enumerate(columns)).format
+    lines = [f"# {ln}" for ln in header_comment.splitlines()] if header_comment else []
+    lines.append(",".join(name for name, _ in columns))
+    lines.extend(fmt(*row) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path) -> GridFunction:
@@ -324,44 +419,19 @@ def read_csv(path) -> GridFunction:
     The omega column must be strictly increasing and equally spaced
     (tolerance 1e-9 of one step).
     """
-    omegas: list[float] = []
-    vals: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) == 2 and not omegas:
-                # the first row may be a column-name header
-                try:
-                    float(parts[0])
-                except ValueError:
-                    continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'omega_meV,value'")
-            try:
-                omegas.append(float(parts[0]))
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
-    if len(omegas) < 2:
-        raise ValueError(f"{path}: needs at least two samples")
-    om = np.asarray(omegas)
+    om, vals = read_table(path, 2)
+    if om.size < 2:
+        raise FormatError(f"{path}: needs at least two samples")
     d = np.diff(om)
     step = float(d[0])
     if step <= 0 or np.any(np.abs(d - step) > 1e-9 * step):
-        raise ValueError(f"{path}: omega grid must be strictly increasing and equally spaced")
-    return GridFunction(float(om[0]), step, np.asarray(vals))
+        raise FormatError(f"{path}: omega grid must be strictly increasing and equally spaced")
+    return GridFunction(float(om[0]), step, vals)
 
 
-def write_csv(g: GridFunction, path, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            for line in header_comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("omega_meV,value\n")
-        # shortest-round-trip omega column so the reader's even-grid
-        # check holds for arbitrary step sizes
-        for x, v in zip(g.grid, g.values):
-            fh.write(f"{float(x)!r},{v:.12g}\n")
+def write_csv(g: GridFunction, path, header_comment: str | None = None,
+              columns: tuple[str, str] = ("omega_meV", "value")) -> None:
+    # shortest-round-trip omega column so the reader's even-grid check
+    # holds for arbitrary step sizes
+    write_table(path, ((columns[0], ""), (columns[1], ".12g")),
+                zip(g.grid.tolist(), g.values.tolist()), header_comment)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .gridfn import GridFunction, IntervalSet, MeasuredBand, band_intersections
+from .gridfn import GridFunction, IntervalSet, MeasuredBand, band_intersections, read_table
 from .psb import PsbModel
 from .rates import (
     HighTempParams,
@@ -103,40 +102,10 @@ class LifetimeSeries:
                               self.sigmas_ns[keep],
                               tuple(self.spin_classes[i] for i in keep))
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        lines = []
-        if header_comment:
-            lines.extend(f"# {ln}" for ln in header_comment.splitlines())
-        lines.append("temperature_K,tau_ns,sigma_ns,spin_class")
-        for t, v, s, c in zip(self.temperatures_k, self.taus_ns,
-                              self.sigmas_ns, self.spin_classes):
-            lines.append(f"{t:.10g},{v:.12g},{s:.12g},{c}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def from_csv(cls, path) -> "LifetimeSeries":
         """Read "temperature_K,tau_ns,sigma_ns,spin_class" rows."""
-        temps, taus, sigmas, classes = [], [], [], []
-        for lineno, raw in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("temperature"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected "
-                    "temperature_K,tau_ns,sigma_ns,spin_class")
-            temps.append(float(parts[0]))
-            taus.append(float(parts[1]))
-            sigmas.append(float(parts[2]))
-            classes.append(parts[3])
-        if not temps:
-            raise ValueError(f"{path}: no data rows")
-        return cls(np.asarray(temps), np.asarray(taus), np.asarray(sigmas),
-                   tuple(classes))
+        return cls(*read_table(path, 4, text_cols=(3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,43 +365,6 @@ class LifetimeCurves:
                 and abs(self.epsilons[i] - epsilon) < 1e-12]
         return (np.array([self.temperatures_k[i] for i in keep]),
                 np.array([self.taus_ns[i] for i in keep]))
-
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        lines = []
-        if header_comment:
-            lines.append(f"# {header_comment}")
-        lines.append("temperature_K,spin_class,epsilon,tau_ns")
-        for t, cls, eps, tau in self.rows():
-            lines.append(f"{t:.10g},{cls},{eps:g},{tau:.10g}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "LifetimeCurves":
-        temps, classes, epss, taus = [], [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("temperature_K"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected "
-                        "'temperature_K,spin_class,epsilon,tau_ns'")
-                try:
-                    temps.append(float(parts[0]))
-                    epss.append(float(parts[2]))
-                    taus.append(float(parts[3]))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric row {line!r}") from exc
-                classes.append(parts[1])
-        if not temps:
-            raise ValueError(f"{path}: no data rows")
-        return cls(tuple(temps), tuple(classes), tuple(epss), tuple(taus))
 
 
 def lifetime_curves(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,

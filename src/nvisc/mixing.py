@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
-from .gridfn import GridFunction
+from .gridfn import GridFunction, read_table
 from .rates import RateResult
 from .units import MEV_TO_MHZ, eta_mhz_to_internal, ghz_to_mev, thermal_energy
 
@@ -93,35 +92,10 @@ class MixSeries:
     def __len__(self) -> int:
         return self.temperatures_k.size
 
-    def to_csv(self, path, header_comment: str | None = None) -> None:
-        lines = []
-        if header_comment:
-            lines.extend(f"# {ln}" for ln in header_comment.splitlines())
-        lines.append("temperature_K,gamma_mix_MHz,sigma_MHz")
-        for t, r, s in zip(self.temperatures_k, self.rates_mhz, self.sigmas_mhz):
-            lines.append(f"{t:.10g},{r:.12g},{s:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def from_csv(cls, path) -> "MixSeries":
         """Read "temperature_K,gamma_mix_MHz,sigma_MHz" rows ('#' comments)."""
-        rows = []
-        for lineno, raw in enumerate(
-                Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().startswith("temperature"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected temperature_K,gamma_mix_MHz,sigma_MHz")
-            rows.append([float(p) for p in parts])
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        arr = np.asarray(rows)
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
+        return cls(*read_table(path, 3))
 
 
 def alpha_const(x_delta: float) -> float:

@@ -24,7 +24,9 @@ the FFT length is the smallest 2*3*5-smooth length covering it, so only
 terms beyond i_max (Poisson tail below 1e-9) can alias into the window.
 The exponent has non-positive real part, so it cannot overflow at any S.
 FFT round-off negatives are clipped to 0; a sample below -1e-12 of the
-peak raises instead.
+peak raises instead.  An FFT longer than MAX_SIDEBAND_NODES raises
+ArithmeticError before the FFT grid is allocated, which bounds the work
+at high T.
 
 At finite temperature the one-phonon function gains an absorption branch,
 
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gridfn import GridFunction, integrate, read_csv
+from .gridfn import FormatError, GridFunction, integrate, parse_kv, parse_number, read_csv
 from .units import thermal_energy
 
 __all__ = [
@@ -63,6 +65,11 @@ DEFAULT_SUPPORT_CAP = 200.0
 
 # exponent guard: exp(x) for x > ~700 overflows a double
 _EXP_MAX = 700.0
+
+# work bound: the largest sideband FFT length (nodes) built; the grid
+# grows linearly with S(T), which passes it near T = 1e6 K on the
+# shipped model
+MAX_SIDEBAND_NODES = 1 << 21
 
 
 class DeconvolutionError(RuntimeError):
@@ -186,6 +193,10 @@ def _poisson_sideband(f1: GridFunction, s: float,
     else:
         size, start, first = span, i_max * round(a / h), i_max * a
     n_fft = _fft_length(max(span, size))
+    if n_fft > MAX_SIDEBAND_NODES:
+        raise ArithmeticError(
+            f"sideband at S = {s:.6g} needs a {n_fft}-node FFT, above the "
+            f"work limit of {MAX_SIDEBAND_NODES} nodes")
     ring = np.zeros(n_fft)
     ring[(round(a / h) + np.arange(n1)) % n_fft] = h * f1.values
     # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow
@@ -387,27 +398,20 @@ class PsbModel:
         """Load from a key=value manifest naming the table CSV, s0 and
         the S(T) spectral cap (f0_csv, s0, omega_mev)."""
         p = Path(path)
-        keys: dict[str, str] = {}
-        for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{p}:{lineno}: expected key=value")
-            k, v = line.split("=", 1)
-            keys[k.strip()] = v.strip()
-        missing = {"f0_csv", "s0", "omega_mev"} - keys.keys()
+        entries = parse_kv(p.read_text(encoding="utf-8"), p)
+        names = {"f0_csv", "s0", "omega_mev"}
+        missing = names - entries.keys()
         if missing:
-            raise ValueError(f"{p}: manifest missing keys: {sorted(missing)}")
-        unknown = keys.keys() - {"f0_csv", "s0", "omega_mev"}
+            raise FormatError(f"{p}: manifest missing keys: {sorted(missing)}")
+        unknown = entries.keys() - names
         if unknown:
-            raise ValueError(f"{p}: unknown manifest keys: {sorted(unknown)}")
-        csv_path = Path(keys["f0_csv"])
+            raise FormatError(f"{p}: unknown manifest keys: {sorted(unknown)}")
+        s0, omega_mev = (parse_number(entries[k][0], f"{p}:{entries[k][1]}", f"'{k}'")
+                         for k in ("s0", "omega_mev"))
+        csv_path = Path(entries["f0_csv"][0])
         if not csv_path.is_absolute():
             csv_path = p.parent / csv_path
-        f0_raw = read_csv(csv_path)
-        return cls.from_overlap(f0_raw, float(keys["s0"]),
-                                omega_mev=float(keys["omega_mev"]))
+        return cls.from_overlap(read_csv(csv_path), s0, omega_mev=omega_mev)
 
     # -- evaluation ----------------------------------------------------
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import nvisc
-from nvisc import cli
-from nvisc.gridfn import IntervalSet, read_csv
+from nvisc import cli, psb
+from nvisc.gridfn import FormatError, IntervalSet, read_csv, read_table
 from nvisc.inference import LifetimeCurves, LifetimeSeries
 from nvisc.mixing import MixSeries
 
@@ -34,6 +34,24 @@ def config_path(tmp_path_factory):
 
 def run(args, outdir):
     return cli.main(list(args) + ["--out", str(outdir), "--quiet"])
+
+
+def read_intervals(path) -> IntervalSet:
+    return IntervalSet.from_pairs(zip(*read_table(path, 2)))
+
+
+def read_curves(path) -> LifetimeCurves:
+    return LifetimeCurves(*map(tuple, read_table(path, 4, text_cols=(1,))))
+
+
+def config_with(config_path, tmp_path, key, value):
+    """Copy of the test config with ``key = value`` as its last line."""
+    lines = [ln for ln in config_path.read_text().splitlines()
+             if not ln.startswith(f"{key} =")]
+    lines.append(f"{key} = {value}")
+    p = tmp_path / "c.txt"
+    p.write_text("\n".join(lines) + "\n")
+    return p
 
 
 # ------------------------------------------------------------------ smoke
@@ -98,7 +116,7 @@ def test_infer_delta_csv_columns(config_path, tmp_path):
     lines = (tmp_path / "delta_intervals.csv").read_text().splitlines()
     rows = [ln for ln in lines if not ln.startswith("#")]
     assert rows[0] == "lo_mev,hi_mev"
-    found = IntervalSet.from_csv(tmp_path / "delta_intervals.csv")
+    found = read_intervals(tmp_path / "delta_intervals.csv")
     assert len(found) == 1
     lo, hi = found.intervals[0]
     assert lo == pytest.approx(344.0, abs=25.0)
@@ -107,7 +125,7 @@ def test_infer_delta_csv_columns(config_path, tmp_path):
 
 def test_infer_omega_interval(config_path, tmp_path):
     assert run(["infer-omega", "--config", str(config_path)], tmp_path) == 0
-    found = IntervalSet.from_csv(tmp_path / "omega_interval.csv")
+    found = read_intervals(tmp_path / "omega_interval.csv")
     assert not found.is_empty
     lo, hi = found.intervals[0]
     assert lo < 93.0 and hi > 74.0
@@ -121,7 +139,7 @@ def test_lowt_error_small_in_range(config_path, tmp_path):
 
 def test_lifetime_values(config_path, tmp_path):
     assert run(["lifetime", "--config", str(config_path)], tmp_path) == 0
-    curves = LifetimeCurves.from_csv(tmp_path / "lifetimes.csv")
+    curves = read_curves(tmp_path / "lifetimes.csv")
     temps, taus = curves.select("ms0", 0.0)
     assert taus[0] == pytest.approx(12.06, abs=0.5)
 
@@ -144,7 +162,7 @@ def test_sweep_lifetime_rows(config_path, tmp_path):
     rc = run(["sweep", "lifetime", "--axis", "T", "--from", "300", "--to",
               "700", "--step", "100", "--config", str(config_path)], tmp_path)
     assert rc == 0
-    curves = LifetimeCurves.from_csv(tmp_path / "lifetime_vs_T.csv")
+    curves = read_curves(tmp_path / "lifetime_vs_T.csv")
     # one row per temperature per spin class per epsilon
     assert len(curves) == 5 * 2 * 3
     temps, taus = curves.select("ms0", 0.0)
@@ -261,7 +279,11 @@ def test_empty_inference_exits_4(config_path, tmp_path):
                      str(tmp_path), "--quiet"]) == 4
     # the empty result is still recorded deterministically
     assert "no interval" in (tmp_path / "summary.txt").read_text()
-    assert IntervalSet.from_csv(tmp_path / "delta_intervals.csv").is_empty
+    # the empty interval set is a table with column names and no rows
+    table = tmp_path / "delta_intervals.csv"
+    assert table.read_text().splitlines()[-1] == "lo_mev,hi_mev"
+    with pytest.raises(FormatError, match="no data rows"):
+        read_intervals(table)
 
 
 def test_numerical_failure_exits_3(config_path, tmp_path, capsys):
@@ -280,6 +302,42 @@ def test_numerical_failure_exits_3(config_path, tmp_path, capsys):
                      str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "fit-mott-seitz" in err and "unidentifiable" in err
+
+
+@pytest.mark.parametrize("command, key, header, row", [
+    ("extract-eta", "mix_csv", "temperature_K,gamma_mix_MHz,sigma_MHz",
+     "12,5.0x,0.2"),
+    ("fit-mott-seitz", "lifetime_csv", "temperature_K,tau_ns,sigma_ns,spin_class",
+     "400,12.0,n/a,ms0"),
+])
+def test_malformed_table_exits_2_citing_line(config_path, tmp_path, capsys,
+                                             command, key, header, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# measured\n{header}\n{row}\n")
+    p = config_with(config_path, tmp_path, key, bad)
+    assert cli.main([command, "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "bad.csv:3:" in capsys.readouterr().err
+
+
+def test_manifest_error_exits_2(config_path, tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"f0_csv = {DATA / 'psb_low_temperature.csv'}\n"
+                        "s0 = 3.49\ns0 = 3.5\nomega_mev = 200.0\n")
+    p = config_with(config_path, tmp_path, "psb_manifest", manifest)
+    assert cli.main(["rate-a1", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "m.txt:3:" in err and "duplicate key 's0'" in err
+
+
+def test_temperature_beyond_work_limit_exits_3(config_path, tmp_path, capsys):
+    p = config_with(config_path, tmp_path, "temperature_k", "1e6")
+    assert cli.main(["lifetime", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "work limit" in err and str(psb.MAX_SIDEBAND_NODES) in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 def test_sweep_rejects_other_axes(config_path, tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Golden regression: rerun the full analysis chain and compare with out/.
+"""Golden regression: rerun the full analysis chain and compare with
+tests/golden/.
 
-The tracked ``out/`` tree is the output of ``scripts/run_full_analysis.py``
-on the packaged configuration.  Every command of that chain is rerun here
+The tracked ``tests/golden/`` tree is the output of
+``scripts/run_full_analysis.py`` (its ``out/`` directory) on the packaged
+configuration.  Every command of that chain is rerun here
 through ``cli.main`` into a temporary directory and compared file by file:
 
 * ``summary.txt`` text must match exactly; its numbers may differ by at
@@ -22,7 +24,7 @@ import pytest
 from nvisc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "out"
+GOLDEN = ROOT / "tests" / "golden"
 
 _spec = importlib.util.spec_from_file_location(
     "run_full_analysis", ROOT / "scripts" / "run_full_analysis.py")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nvisc.gridfn import (
+    FormatError,
     GridFunction,
     IntervalSet,
     MeasuredBand,
@@ -14,8 +15,10 @@ from nvisc.gridfn import (
     crop,
     integrate,
     read_csv,
+    read_table,
     resample,
     write_csv,
+    write_table,
 )
 
 
@@ -158,7 +161,10 @@ def test_crop_keeps_nodes():
 def test_csv_round_trip(tmp_path):
     g = gaussian_grid(60.0, 12.0, 0.0, 120.0, 0.25)
     p = tmp_path / "f.csv"
-    write_csv(g, p, header_comment="unit test")
+    write_csv(g, p, header_comment="unit test\nsecond line",
+              columns=("omega_meV", "density"))
+    assert p.read_text().splitlines()[:3] == [
+        "# unit test", "# second line", "omega_meV,density"]
     r = read_csv(p)
     assert r.omega_min == pytest.approx(g.omega_min)
     assert r.step == pytest.approx(g.step, rel=1e-12)
@@ -177,6 +183,46 @@ def test_csv_rejects_garbage(tmp_path):
     p.write_text("0.0,1.0\nnot,a,row\n")
     with pytest.raises(ValueError, match="expected"):
         read_csv(p)
+
+
+def test_table_round_trip_with_multiline_header(tmp_path):
+    p = tmp_path / "t.csv"
+    rows = [(300.0, "ms0", 0.5, 12.0625), (1e-7, "ms1", 1.0, 7.0)]
+    write_table(p, (("temperature_K", ".10g"), ("spin_class", ""),
+                    ("epsilon", "g"), ("tau_ns", ".10g")), rows,
+                header_comment="first line\nsecond line\n\nafter a blank")
+    text = p.read_text()
+    assert text.splitlines()[:5] == [
+        "# first line", "# second line", "# ", "# after a blank",
+        "temperature_K,spin_class,epsilon,tau_ns"]
+    temps, classes, eps, taus = read_table(p, 4, text_cols=(1,))
+    assert list(temps) == [300.0, 1e-7]
+    assert classes == ("ms0", "ms1")
+    assert list(eps) == [0.5, 1.0]
+    assert list(taus) == [12.0625, 7.0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n", r"t\.csv: no data rows"),
+    ("# only comments\n\n", r"t\.csv: no data rows"),
+    ("a,b\n1,2\n3\n", r"t\.csv:3: expected 2 comma-separated fields"),
+    ("a,b\n1,2\n\n3,x\n", r"t\.csv:4: malformed number for column 2: 'x'"),
+    ("1,2\n3,nan\n", r"t\.csv:2: non-finite number for column 2"),
+    ("1,2\nx,y\n", r"t\.csv:2: malformed number for column 1"),
+])
+def test_read_table_errors_cite_line(tmp_path, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        read_table(p, 2)
+
+
+def test_read_table_text_column_and_spaces(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("x, label\n 1.5 , a \n2,b\n")
+    xs, labels = read_table(p, 2, text_cols=(1,))
+    assert list(xs) == [1.5, 2.0]
+    assert labels == ("a", "b")
 
 
 # ------------------------------------------------- intervals and bands

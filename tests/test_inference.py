@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from nvisc.gridfn import GridFunction, IntervalSet, MeasuredBand, integrate
+from nvisc.gridfn import GridFunction, IntervalSet, MeasuredBand, integrate, write_table
 from nvisc.inference import (
     LifetimeCurves,
     LifetimeSeries,
@@ -268,7 +268,11 @@ def test_fit_mott_seitz_filters_spin_class():
 def test_lifetime_series_csv_round_trip(tmp_path):
     data = make_lifetimes(5.8e7, 0.94)
     path = tmp_path / "taus.csv"
-    data.to_csv(path, header_comment="synthetic quenching curve")
+    write_table(path, (("temperature_K", ".10g"), ("tau_ns", ".12g"),
+                       ("sigma_ns", ".12g"), ("spin_class", "")),
+                zip(data.temperatures_k, data.taus_ns, data.sigmas_ns,
+                    data.spin_classes),
+                header_comment="synthetic quenching curve")
     back = LifetimeSeries.from_csv(path)
     np.testing.assert_allclose(back.taus_ns, data.taus_ns, rtol=1e-10)
     assert back.spin_classes == data.spin_classes
@@ -284,6 +288,10 @@ def test_lifetime_series_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("temperature_K,tau_ns,sigma_ns,spin_class\n300,12,0.3\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
+        LifetimeSeries.from_csv(bad)
+    bad.write_text("temperature_K,tau_ns,sigma_ns,spin_class\n300,12,0.3,ms0\n"
+                   "\n400,9.x,0.3,ms0\n")
+    with pytest.raises(ValueError, match="bad.csv:4: malformed number"):
         LifetimeSeries.from_csv(bad)
 
 

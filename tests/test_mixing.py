@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from nvisc.gridfn import integrate
+from nvisc.gridfn import integrate, write_table
 from nvisc.mixing import (
     EtaFit,
     MixingParams,
@@ -233,7 +233,10 @@ def test_mix_series_validation():
 def test_mix_series_csv_roundtrip(tmp_path):
     series = synthetic_series()
     path = tmp_path / "mix.csv"
-    series.to_csv(path, header_comment="synthetic two-phonon rates")
+    write_table(path, (("temperature_K", ".10g"), ("gamma_mix_MHz", ".12g"),
+                       ("sigma_MHz", ".12g")),
+                zip(series.temperatures_k, series.rates_mhz, series.sigmas_mhz),
+                header_comment="synthetic two-phonon rates")
     back = MixSeries.from_csv(path)
     np.testing.assert_allclose(back.temperatures_k, series.temperatures_k)
     np.testing.assert_allclose(back.rates_mhz, series.rates_mhz, rtol=1e-10)
@@ -250,3 +253,7 @@ def test_mix_series_csv_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no data"):
         MixSeries.from_csv(empty)
+    bad.write_text("temperature_K,gamma_mix_MHz,sigma_MHz\n5.0,0.06,0.01\n"
+                   "10.0,abc,0.01\n")
+    with pytest.raises(ValueError, match="bad.csv:3: malformed number"):
+        MixSeries.from_csv(bad)

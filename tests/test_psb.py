@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nvisc
 from nvisc.gridfn import GridFunction, convolve, integrate
 from nvisc.psb import (
+    MAX_SIDEBAND_NODES,
     DeconvolutionError,
     PsbModel,
     _fft_length,
@@ -19,6 +22,8 @@ from nvisc.psb import (
     thermal_overlap,
 )
 from nvisc.units import K_B
+
+DATA = Path(nvisc.__file__).parent / "data"
 
 
 def spike(omega0, step=0.25, span=200.0):
@@ -354,6 +359,14 @@ def test_overlap_nonnegative(temperature_k):
     assert np.all(thermal_overlap(m, temperature_k).values >= 0.0)
 
 
+def test_overlap_beyond_work_limit_raises():
+    # the shipped model needs about 8.8M FFT nodes at 1e6 K
+    m = PsbModel.from_manifest(DATA / "psb_manifest.txt")
+    with pytest.raises(ArithmeticError,
+                       match=rf"S = [0-9.e+]+ .*work limit of {MAX_SIDEBAND_NODES} nodes"):
+        thermal_overlap(m, 1e6)
+
+
 # ------------------------------------------------------------ model
 
 
@@ -406,6 +419,19 @@ def test_manifest_errors(tmp_path):
         PsbModel.from_manifest(p)
     p.write_text("f0_csv = x.csv\ns0 = 3.49\nomega_mev = 200\nbogus = 1\n")
     with pytest.raises(ValueError, match="unknown"):
+        PsbModel.from_manifest(p)
+    p.write_text("f0_csv = x.csv\ns0 = 3.49\nomega_mev = 200\ns0 = 3.5\n")
+    with pytest.raises(ValueError, match=r"m\.txt:4: duplicate key 's0'"):
+        PsbModel.from_manifest(p)
+    for bad in ("nan", "inf"):
+        p.write_text(f"f0_csv = x.csv\n# cap\nomega_mev = 200\ns0 = {bad}\n")
+        with pytest.raises(ValueError, match=r"m\.txt:4: non-finite number for 's0'"):
+            PsbModel.from_manifest(p)
+    p.write_text("f0_csv = x.csv\ns0 = 3.49\nomega_mev = 2OO\n")
+    with pytest.raises(ValueError, match=r"m\.txt:3: malformed number for 'omega_mev'"):
+        PsbModel.from_manifest(p)
+    p.write_text("f0_csv = x.csv\ns0 3.49\n")
+    with pytest.raises(ValueError, match=r"m\.txt:2: expected key = value"):
         PsbModel.from_manifest(p)
 
 
