@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib.resources
 import math
 import sys
@@ -81,6 +82,22 @@ _SCHEMA = {
 }
 
 
+_ETA_BAND = ("eta_lo_mhz_per_mev3", "eta_hi_mhz_per_mev3")
+
+
+def _reads(*keys):
+    """Builder decorator: the parameter object's ValueError is a config error."""
+    def wrap(builder):
+        @functools.wraps(builder)
+        def build(cfg):
+            try:
+                return builder(cfg)
+            except ValueError as exc:
+                raise ConfigError(f"{cfg.source}: invalid {', '.join(keys)}: {exc}") from exc
+        return build
+    return wrap
+
+
 @dataclasses.dataclass
 class RunConfig:
     values: dict
@@ -108,53 +125,55 @@ class RunConfig:
 
     # parameter-object builders
 
+    @_reads("lambda_par_ghz", "perp_ratio", "perp_ratio_lo", "perp_ratio_hi")
     def spin_orbit(self) -> rates.SpinOrbitParams:
         return rates.SpinOrbitParams.from_ghz(
             self["lambda_par_ghz"], self["perp_ratio"],
             (self["perp_ratio_lo"], self["perp_ratio_hi"]))
 
+    @_reads("eta_mhz_per_mev3", "omega_cutoff_mev", *_ETA_BAND)
     def phonon_coupling(self) -> rates.PhononCoupling:
-        band = None
-        if self.values.get("eta_lo_mhz_per_mev3") is not None:
-            band = (self["eta_lo_mhz_per_mev3"], self["eta_hi_mhz_per_mev3"])
         return rates.PhononCoupling(self["eta_mhz_per_mev3"],
-                                    self["omega_cutoff_mev"], band)
+                                    self["omega_cutoff_mev"], self._band(*_ETA_BAND))
 
+    @_reads("delta_mev", "delta_prime_mev")
     def level_spacings(self) -> rates.LevelSpacings:
         return rates.LevelSpacings(self["delta_mev"], self["delta_prime_mev"])
 
+    @_reads("gamma_rad_mhz", "gamma_rad_lo_mhz", "gamma_rad_hi_mhz")
     def g_rad(self) -> rates.RateResult:
-        band = None
-        if self.values.get("gamma_rad_lo_mhz") is not None:
-            band = (self["gamma_rad_lo_mhz"], self["gamma_rad_hi_mhz"])
-        return rates.RateResult(self["gamma_rad_mhz"], band)
+        return rates.RateResult(
+            self["gamma_rad_mhz"],
+            self._band("gamma_rad_lo_mhz", "gamma_rad_hi_mhz"))
 
+    @_reads("target_rate_mhz", "target_rate_lo_mhz", "target_rate_hi_mhz")
     def target_band(self) -> MeasuredBand:
         return MeasuredBand(self["target_rate_mhz"],
                             self["target_rate_lo_mhz"],
                             self["target_rate_hi_mhz"])
 
+    @_reads("ratio_target", "ratio_target_lo", "ratio_target_hi")
     def ratio_band(self) -> MeasuredBand:
         return MeasuredBand(self["ratio_target"], self["ratio_target_lo"],
                             self["ratio_target_hi"])
 
-    def mixing_params(self, temperature_k=None) -> mixing.MixingParams:
-        band = None
-        if self.values.get("eta_lo_mhz_per_mev3") is not None:
-            band = (self["eta_lo_mhz_per_mev3"], self["eta_hi_mhz_per_mev3"])
+    @_reads("eta_mhz_per_mev3", "delta_xy_ghz", "temperature_k", *_ETA_BAND)
+    def mixing_params(self) -> mixing.MixingParams:
         return mixing.MixingParams(
-            self["eta_mhz_per_mev3"],
-            units.ghz_to_mev(self["delta_xy_ghz"]),
-            self["temperature_k"] if temperature_k is None else temperature_k,
-            band)
+            self["eta_mhz_per_mev3"], units.ghz_to_mev(self["delta_xy_ghz"]),
+            self["temperature_k"], self._band(*_ETA_BAND))
 
-    def ht_params(self, epsilon: float = 0.0) -> rates.HighTempParams:
+    @_reads("ht_s_factor", "ht_delta_e_ev")
+    def ht_params(self) -> rates.HighTempParams:
         s, de = self.values.get("ht_s_factor"), self.values.get("ht_delta_e_ev")
         if s is None or de is None:
             raise ConfigError(
                 f"{self.source}: ht_s_factor and ht_delta_e_ev are required "
                 "by this command")
-        return rates.HighTempParams(s, de, epsilon)
+        return rates.HighTempParams(s, de)
+
+    def _band(self, lo_key, hi_key) -> tuple[float, float] | None:
+        return None if self.values.get(lo_key) is None else (self[lo_key], self[hi_key])
 
     def model(self) -> psb.PsbModel:
         return _load_model(self.require_path("psb_manifest"))
@@ -455,15 +474,12 @@ def cmd_lifetime(cfg: RunConfig, args, out: Path) -> list[str]:
 
 
 def cmd_fit_mott_seitz(cfg: RunConfig, args, out: Path) -> list[str]:
-    data = inference.LifetimeSeries.from_csv(cfg.require_path("lifetime_csv"))
-    fit = inference.fit_mott_seitz(data.select("ms0"), cfg.g_rad(),
-                                   cfg["tau0_ns"])
-    temps = data.select("ms0").temperatures_k
-    grid = np.linspace(float(temps[0]), float(temps[-1]), 101)
-    taus = [inference._ms_tau(fit.nu0_mhz, fit.s, fit.delta_e_ev,
-                              np.array([t]))[0] for t in grid]
+    data = inference.LifetimeSeries.from_csv(cfg.require_path("lifetime_csv")).select("ms0")
+    fit = inference.fit_mott_seitz(data, cfg.g_rad(), cfg["tau0_ns"])
+    grid = np.linspace(float(data.temperatures_k[0]), float(data.temperatures_k[-1]), 101)
     curve = GridFunction(float(grid[0]), float(grid[1] - grid[0]),
-                         np.asarray(taus))
+                         inference._ms_tau(fit.nu0_mhz, fit.s,
+                                           fit.delta_e_ev, grid))
     write_csv(curve, out / "mott_seitz_curve.csv",
               "fitted thermal-quenching lifetime curve",
               ("temperature_K", "tau_ns"))

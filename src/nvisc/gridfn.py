@@ -16,6 +16,7 @@ physical densities here do).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 from pathlib import Path
@@ -86,9 +87,11 @@ class GridFunction:
     def omega_max(self) -> float:
         return self.omega_min + self.step * (self.values.size - 1)
 
-    @property
+    @functools.cached_property
     def grid(self) -> np.ndarray:
-        return self.omega_min + self.step * np.arange(self.values.size)
+        grid = self.omega_min + self.step * np.arange(self.values.size)
+        grid.setflags(write=False)
+        return grid
 
     # -- evaluation -------------------------------------------------------
 
@@ -191,10 +194,6 @@ class MeasuredBand:
             raise ValueError(
                 f"band must satisfy lo <= value <= hi, got {self.lo}, {self.value}, {self.hi}"
             )
-
-    @classmethod
-    def from_sigma(cls, value: float, sigma: float) -> "MeasuredBand":
-        return cls(value, value - sigma, value + sigma)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -7,7 +7,7 @@ cutoff makes the assisted-to-direct ratio match its measured value
 (monotone bracketing in the cutoff); how large the error of the
 zero-temperature rate formula is at finite temperature; and what
 activation parameters fit the high-temperature lifetime quenching
-(damped least squares on a Mott-Seitz model).  A small forward
+(Levenberg-Marquardt least squares on a Mott-Seitz model).  A small forward
 composition producing lifetime-vs-temperature tables and a finite
 difference sensitivity of the averaged crossing rate round it out.
 """
@@ -18,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .gridfn import GridFunction, IntervalSet, MeasuredBand, band_intersections, read_table
 from .psb import PsbModel
@@ -57,6 +56,7 @@ DELTA_SWEEP = (20.0, 600.0, 1.0)
 # default gap range the cutoff inference averages over (meV)
 DELTA_RANGE = (344.0, 430.0)
 OMEGA_GRID_STEP = 0.25
+MOTT_SEITZ_MAX_ITER = 200  # fit iteration cap; typical series converge in < 30
 
 
 # ---------------------------------------------------------------------------
@@ -315,19 +315,36 @@ def fit_mott_seitz(data: LifetimeSeries, g_rad: RateResult,
     de0 = max(-slope, 0.01)
     s0 = float(tail[-1] * math.exp(de0 / kt_ev[-1]) / nu0)
 
-    def resid(theta):
-        ln_s, de = theta
-        return (_ms_tau(nu0, math.exp(ln_s), de, temps) - taus) / sigmas
+    def resid_jac(theta):
+        # tau = tau_0 / (1 + q), q = s e^{-dE/kT}; d tau / d ln s = -tau q/(1+q)
+        q = math.exp(theta[0]) * np.exp(-theta[1] / kt_ev)
+        tau = 1e3 / (2.0 * math.pi * nu0 * (1.0 + q))
+        dtau = tau * q / (1.0 + q) / sigmas
+        return (tau - taus) / sigmas, np.column_stack([-dtau, dtau / kt_ev])
 
-    res = least_squares(resid, np.array([math.log(s0), de0]),
-                        bounds=([-5.0, 0.01], [40.0, 4.0]), xtol=1e-14,
-                        ftol=1e-14, gtol=1e-14)
-    ln_s, de = res.x
+    # Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) in
+    # (ln s, dE), each step clipped to the box
+    lo, hi = np.array([-5.0, 0.01]), np.array([40.0, 4.0])
+    theta = np.clip([math.log(s0), de0], lo, hi)
+    r, jac = resid_jac(theta)
+    lam = 1e-3
+    for _ in range(MOTT_SEITZ_MAX_ITER):
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ r)
+        trial = np.clip(theta + step, lo, hi)
+        if np.all(np.abs(trial - theta) <= 1e-14 * (1.0 + np.abs(theta))):
+            break
+        r_t, jac_t = resid_jac(trial)
+        if r_t @ r_t < r @ r:
+            theta, r, jac, lam = trial, r_t, jac_t, lam / 10.0
+        else:
+            lam *= 10.0
+    ln_s, de = theta
     s = math.exp(ln_s)
 
     dof = max(len(data) - 2, 1)
-    chi2 = 2.0 * res.cost
-    jtj = res.jac.T @ res.jac
+    chi2 = float(r @ r)
+    jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj) * max(chi2 / dof, 1e-30)
         sigma_ln_s = math.sqrt(max(cov[0, 0], 0.0))

@@ -7,8 +7,10 @@ omega + splitting) whose rate integrates to a T^5 law,
     Gamma_Mix = (64/pi) alpha eta^2 (k_B T)^5,
     alpha(x_d) = int_0^inf x^4 n(x) [n(x + x_d) + 1] dx,
 
-with x_d the splitting over k_B T.  alpha interpolates between
-24 zeta(4) (x_d -> 0) and 24 zeta(5) (x_d -> inf).  A direct one-phonon
+with x_d the splitting over k_B T.  The identity
+n(x) [1 + n(x + d)] = [1 + n(d)] [n(x) - n(x + d)] integrates it in closed
+form, alpha(d) = 24 [1 + n(d)] (zeta(5) - Li_5(e^{-d})), which runs from
+24 zeta(4) (x_d -> 0) to 24 zeta(5) (x_d -> inf).  A direct one-phonon
 channel, rate 4 eta [n+1] delta_xy^3, matters only for splittings of
 tens of GHz.  The inverse problem (coupling strength from a measured
 rate-vs-temperature series) is weighted least squares, linear in eta^2.
@@ -20,9 +22,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gridfn import GridFunction, read_table
+from .psb import thermal_occupation
 from .rates import RateResult
 from .units import MEV_TO_MHZ, eta_mhz_to_internal, ghz_to_mev, thermal_energy
 
@@ -38,8 +40,11 @@ __all__ = [
     "extract_eta",
 ]
 
-# exp overflow guard
-_EXP_MAX = 690.0
+# zeta(5 - k) for k = 0..15, the coefficients of the log series of
+# Li_5(e^{-d}); the log term takes the place of k = 4 (the pole of zeta)
+_ZETA_5_MINUS_K = (1.0369277551433699, math.pi**4 / 90, 1.2020569031595942,
+                   math.pi**2 / 6, 0.0, -1 / 2, -1 / 12, 0.0, 1 / 120, 0.0,
+                   -1 / 252, 0.0, 1 / 240, 0.0, -1 / 132, 0.0)
 
 DEFAULT_DELTA_XY_MEV = ghz_to_mev(3.9)
 
@@ -99,25 +104,25 @@ class MixSeries:
 
 
 def alpha_const(x_delta: float) -> float:
-    """Dimensionless two-phonon integral alpha(x_delta).
+    """Dimensionless two-phonon integral alpha(x_delta), in closed form
+    24 [1 + n(d)] (zeta(5) - Li_5(e^{-d})) with 24 zeta(4) at d = 0.
 
-    Adaptive quadrature with the x -> 0 limit of the integrand taken
-    analytically (it vanishes like x^3); absolute tolerance 1e-9.
+    Li_5(e^{-d}) is summed directly (60 terms) for d >= 1 and by its log
+    series sum_{k != 4} zeta(5 - k) (-d)^k / k! + d^4/24 (H_4 - ln d),
+    k <= 15, below; the k = 0 term cancels against zeta(5).
     """
     if x_delta < 0:
         raise ValueError("x_delta must be >= 0")
-
-    def integrand(x: float) -> float:
-        if x <= 0.0 or x > _EXP_MAX:
-            return 0.0
-        absorb = 1.0 / math.expm1(x)
-        xe = x + x_delta
-        emit = (1.0 / math.expm1(xe) if xe < _EXP_MAX else 0.0) + 1.0
-        return x**4 * absorb * emit
-
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=1e-9, epsrel=1e-11,
-                  limit=200)
-    return val
+    d = x_delta
+    if d == 0.0:
+        return 24.0 * _ZETA_5_MINUS_K[1]
+    if d >= 1.0:
+        gap = _ZETA_5_MINUS_K[0] - sum(math.exp(-k * d) / k**5 for k in range(1, 60))
+    else:
+        gap = -(d**4 / 24.0) * (25.0 / 12.0 - math.log(d)) - sum(
+            z * (-d) ** k / math.factorial(k)
+            for k, z in enumerate(_ZETA_5_MINUS_K) if k and z)
+    return 24.0 * gap / -math.expm1(-d)
 
 
 def gamma_mix(mp: MixingParams) -> RateResult:
@@ -156,11 +161,8 @@ def gamma_mix_spectral(mp: MixingParams, omega_max: float | None = None,
     n = max(2, int(math.ceil(omega_max / step)) + 1)
     om = np.linspace(0.0, omega_max, n)
     vals = np.zeros(n)
-    x = om[1:] / kt
-    with np.errstate(over="ignore"):
-        absorb = np.where(x < _EXP_MAX, 1.0 / np.expm1(np.minimum(x, _EXP_MAX)), 0.0)
-        xe = (om[1:] + mp.delta_xy_mev) / kt
-        emit = np.where(xe < _EXP_MAX, 1.0 / np.expm1(np.minimum(xe, _EXP_MAX)), 0.0) + 1.0
+    absorb = thermal_occupation(om[1:], mp.temperature_k)
+    emit = thermal_occupation(om[1:] + mp.delta_xy_mev, mp.temperature_k) + 1.0
     eta = eta_mhz_to_internal(mp.eta_mhz)
     vals[1:] = (64.0 / math.pi) * eta * eta * om[1:] ** 4 * absorb * emit * MEV_TO_MHZ
     return GridFunction(0.0, om[1] - om[0], vals)
@@ -195,11 +197,7 @@ def gamma_mix_one_phonon(mp: MixingParams) -> OnePhononMixing:
     if d == 0.0:
         return OnePhononMixing(0.0, 0.0, 0.0)
     kt = thermal_energy(mp.temperature_k)
-    if kt == 0.0:
-        occ = 0.0
-    else:
-        x = d / kt
-        occ = 1.0 / math.expm1(x) if x < _EXP_MAX else 0.0
+    occ = thermal_occupation(d, mp.temperature_k)
     emission = 4.0 * eta * (occ + 1.0) * d**3 * MEV_TO_MHZ
     absorption = 4.0 * eta * occ * d**3 * MEV_TO_MHZ
     linear = 4.0 * eta * kt * d**2 * MEV_TO_MHZ

@@ -34,6 +34,9 @@ At finite temperature the one-phonon function gains an absorption branch,
                     n(|omega|) f(|omega|)        omega < 0
 
 and the phonon count grows as S(T) = S0 int (2n+1) f domega.
+
+The inverse problem (f from a table) is a marching solve of the discrete
+series, checked by one forward evaluation of the closed form.
 """
 
 from __future__ import annotations
@@ -73,12 +76,11 @@ MAX_SIDEBAND_NODES = 1 << 21
 
 
 class DeconvolutionError(RuntimeError):
-    """Fixed-point deconvolution failed to converge; carries the residual."""
+    """Deconvolved density misses the table; carries the L1 residual."""
 
-    def __init__(self, message: str, residual: float, n_iter: int):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-        self.n_iter = n_iter
 
 
 def thermal_occupation(omega_mev, temperature_k: float):
@@ -89,21 +91,16 @@ def thermal_occupation(omega_mev, temperature_k: float):
     """
     kt = thermal_energy(temperature_k)
     x = np.asarray(omega_mev, dtype=float)
-    scalar = np.ndim(omega_mev) == 0
-    if kt == 0.0:
-        if np.any(x <= 0.0):
-            raise ValueError("thermal_occupation needs omega > 0")
-        out = np.zeros_like(x)
-        return float(out) if scalar else out
     if np.any(x <= 0.0):
-        raise ValueError("thermal_occupation diverges at omega <= 0 for T > 0")
-    with np.errstate(over="ignore"):
-        # overflow to inf is the intended saturation; occupation -> 0
-        r = x / kt
-    out = np.zeros_like(r)
-    small = r < _EXP_MAX
-    out[small] = 1.0 / np.expm1(r[small])
-    return float(out) if scalar else out
+        raise ValueError("thermal_occupation needs omega > 0")
+    out = np.zeros_like(x)
+    if kt > 0.0:
+        with np.errstate(over="ignore"):
+            # overflow to inf is the intended saturation; occupation -> 0
+            r = x / kt
+        small = r < _EXP_MAX
+        out[small] = 1.0 / np.expm1(r[small])
+    return float(out) if np.ndim(omega_mev) == 0 else out
 
 
 def poisson_i_max(s: float) -> int:
@@ -256,20 +253,16 @@ def _marching_solve(target: np.ndarray, h: float, s0: float,
 
 def extract_one_phonon(f0: GridFunction, s0: float, *,
                        support_cap: float = DEFAULT_SUPPORT_CAP,
-                       relax: float = 0.5, max_iter: int = 500,
                        tol: float = 1e-5) -> GridFunction:
     """Recover the one-phonon density from a measured sideband.
 
     The target is the input rescaled to mass 1 - e^{-s0}, so any overall
     amplitude calibration of the table drops out.  A direct marching
-    solve of the (lower triangular) discrete convolution series supplies
-    the starting iterate; a damped fixed-point loop
-    f <- f + relax (target - forward(f)), clipped non-negative and
-    renormalized each step, then polishes and verifies.  The plain
-    relaxation alone is only locally convergent: started cold it stalls
-    on a spurious clipped fixed point, which is why the marching pass is
-    not optional.  Convergence criterion: L1 residual on the full input
-    window below ``tol``.
+    solve of the (lower triangular) discrete convolution series gives
+    the density, renormalized to unit mass; one forward evaluation of the
+    series checks it.  An L1 residual on the input window of ``tol`` or
+    more (noise, or a table no non-negative density reproduces) raises
+    DeconvolutionError.
     """
     if s0 <= 0:
         raise ValueError("s0 must be > 0")
@@ -285,32 +278,19 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     target = f0.values * ((1.0 - math.exp(-s0)) / mass0)
     n_win = f0.size
     n_cap = min(n_win, int(math.floor(support_cap / h + 1e-9)) + 1)
-    i_max = poisson_i_max(s0)
 
-    f_vals = _marching_solve(target, h, s0, n_cap, i_max)
+    f_vals = _marching_solve(target, h, s0, n_cap, poisson_i_max(s0))
     f_mass = np.trapezoid(f_vals, dx=h)
     if f_mass <= 0:
         raise ValueError("sideband table vanishes on the one-phonon window")
-    f_vals = f_vals / f_mass
-
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        f = GridFunction(0.0, h, f_vals)
-        fwd = _poisson_sideband(f, s0, crop_len=n_win)
-        diff = target - fwd.values
-        residual = float(np.trapezoid(np.abs(diff), dx=h))
-        if residual < tol:
-            return f
-        f_vals = f_vals + relax * diff[:n_cap]
-        np.clip(f_vals, 0.0, None, out=f_vals)
-        m = np.trapezoid(f_vals, dx=h)
-        if m <= 0:
-            raise DeconvolutionError(
-                "deconvolution collapsed to zero", residual, it)
-        f_vals /= m
-    raise DeconvolutionError(
-        f"deconvolution did not reach L1 residual {tol:g} in {max_iter} "
-        f"iterations (residual {residual:.3e})", residual, max_iter)
+    f = GridFunction(0.0, h, f_vals / f_mass)
+    fwd = _poisson_sideband(f, s0, crop_len=n_win)
+    residual = float(np.trapezoid(np.abs(target - fwd.values), dx=h))
+    if residual >= tol:
+        raise DeconvolutionError(
+            f"deconvolved density reproduces the table only to L1 residual "
+            f"{residual:.3e}, not below {tol:g}", residual)
+    return f
 
 
 def thermal_overlap(model: "PsbModel", temperature_k: float) -> GridFunction:
@@ -370,7 +350,7 @@ class PsbModel:
     def from_overlap(cls, f0_raw: GridFunction, s0: float,
                      omega_mev: float = DEFAULT_SUPPORT_CAP,
                      support_cap: float = DEFAULT_SUPPORT_CAP,
-                     tol: float = 1e-5, max_iter: int = 4000) -> "PsbModel":
+                     tol: float = 1e-5) -> "PsbModel":
         """Build from a measured sideband table in any amplitude convention.
 
         The default residual tolerance leaves room for the multi-phonon
@@ -379,8 +359,7 @@ class PsbModel:
         mass = integrate(f0_raw)
         frac = 1.0 - math.exp(-s0)
         f0n = f0_raw.scaled(frac / mass)
-        f1 = extract_one_phonon(f0n, s0, support_cap=support_cap,
-                                tol=tol, max_iter=max_iter)
+        f1 = extract_one_phonon(f0n, s0, support_cap=support_cap, tol=tol)
         return cls(f0n, f1, s0, omega_mev, scale=mass / frac)
 
     @classmethod

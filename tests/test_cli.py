@@ -245,6 +245,23 @@ def test_non_finite_value_cites_key_and_line(config_path, tmp_path, capsys,
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["mix", "rate-e12", "lifetime"])
+def test_parameter_error_exits_2_naming_key(config_path, tmp_path, capsys,
+                                            command):
+    # without its band, a negative coupling passes the parse-time checks and
+    # is rejected by the parameter objects
+    lines = [ln for ln in config_path.read_text().splitlines()
+             if not ln.startswith("eta_")]
+    lines.append("eta_mhz_per_mev3 = -1")
+    p = tmp_path / "c.txt"
+    p.write_text("\n".join(lines) + "\n")
+    assert cli.main([command, "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "c.txt" in err and "eta_mhz_per_mev3" in err and "eta must be > 0" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_disordered_band_rejected(config_path, tmp_path, capsys):
     text = config_path.read_text().replace("perp_ratio_hi = 1.4",
                                            "perp_ratio_hi = 1.1")

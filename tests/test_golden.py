@@ -15,8 +15,12 @@ through ``cli.main`` into a temporary directory and compared file by file:
 """
 
 import importlib.util
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +97,24 @@ def compare_csv(new: str, ref: str, where: str) -> None:
 
 def test_golden_tree_covers_the_chain():
     assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == sorted(STEPS)
+
+
+def test_chain_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every command exits 0 in a
+    # process where importing scipy fails
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nvisc import cli\n"
+        f"steps, out = {list(STEPS.items())!r}, {str(tmp_path)!r}\n"
+        "print(json.dumps({name: cli.main(args + ['--config', 'default', '--out',\n"
+        "                  out + '/' + name, '--quiet']) for name, args in steps}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=False)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == {name: 0 for name in STEPS}
 
 
 @pytest.mark.parametrize("name", sorted(STEPS))

@@ -3,6 +3,7 @@ quenching fits, lifetime tables and the gap sensitivity."""
 
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from nvisc.rates import (
     lifetime,
 )
 from nvisc.units import thermal_energy
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "nvisc" / "data"
 
 
 def density(weights, centers, sigmas, step=0.5, span=200.0, onset=15.0):
@@ -239,6 +242,24 @@ def test_fit_mott_seitz_noisy_within_two_sigma(rng):
     fit = fit_mott_seitz(data, RateResult(13.2), tau0_ns=12.0)
     assert abs(fit.delta_e_ev - 0.94) <= 2.0 * fit.sigma_delta_e_ev
     assert abs(fit.s - 5.8e7) <= 2.0 * fit.sigma_s
+
+
+def test_fit_mott_seitz_is_a_minimum():
+    # on the shipped series, moving either parameter off the fit by 1e-6
+    # (ln s, or deltaE in eV) does not lower chi^2
+    data = LifetimeSeries.from_csv(DATA / "high_temperature_lifetimes.csv").select("ms0")
+    fit = fit_mott_seitz(data, RateResult(13.2), tau0_ns=12.0)
+    kt_ev = np.array([thermal_energy(t) for t in data.temperatures_k]) * 1e-3
+
+    def chi2(ln_s, de):
+        taus = 1e3 / (2.0 * math.pi * 13.2 * (1.0 + math.exp(ln_s) * np.exp(-de / kt_ev)))
+        return float(np.sum(((taus - data.taus_ns) / data.sigmas_ns) ** 2))
+
+    ln_s, de = math.log(fit.s), fit.delta_e_ev
+    best = chi2(ln_s, de)
+    assert math.sqrt(best / len(data)) == pytest.approx(fit.residual_rms, rel=1e-9)
+    for d_ln_s, d_de in ((1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-6), (0.0, -1e-6)):
+        assert best <= chi2(ln_s + d_ln_s, de + d_de)
 
 
 def test_fit_mott_seitz_flat_data_unidentifiable():

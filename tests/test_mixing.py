@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from nvisc.gridfn import integrate, write_table
@@ -50,6 +51,19 @@ def test_alpha_slope_at_zero():
     h = 1e-3
     fd = (alpha_const(h) - alpha_const(0.0)) / h
     assert fd == pytest.approx(-1.4368040333814731, rel=5e-3)
+
+
+@pytest.mark.parametrize("x_delta", [0.0, 1e-9, 1e-4, 0.01, 0.3, 0.999999,
+                                     1.0, 1.000001, 2.5, 10.0, 60.0, 800.0])
+def test_alpha_closed_form_matches_quadrature(x_delta):
+    def bose(y):
+        return 1.0 / math.expm1(y) if y < 700.0 else 0.0
+
+    def integrand(x):
+        return x**4 * bose(x) * (1.0 + bose(x + x_delta)) if x > 0.0 else 0.0
+
+    ref, _ = quad(integrand, 0.0, math.inf, epsabs=1e-11, epsrel=1e-12, limit=200)
+    assert alpha_const(x_delta) == pytest.approx(ref, rel=1e-10)
 
 
 def test_alpha_rejects_negative():
