@@ -199,6 +199,9 @@ def parse_config(text: str, base_dir: Path, source: str = "config") -> RunConfig
         kind = _SCHEMA[key][0]
         if kind == _FLOAT:
             values[key] = parse_number(val, where, f"'{key}'")
+            if key == "temperature_k" and values[key] < 0.0:
+                raise ConfigError(f"{where}: 'temperature_k' must be >= 0 K, "
+                                  f"got {val}")
         elif kind == _LIST:
             values[key] = tuple(parse_number(p, where, f"'{key}'")
                                 for p in val.split(",") if p.strip())

@@ -35,8 +35,9 @@ At finite temperature the one-phonon function gains an absorption branch,
 
 and the phonon count grows as S(T) = S0 int (2n+1) f domega.
 
-The inverse problem (f from a table) is a marching solve of the discrete
-series, checked by one forward evaluation of the closed form.
+The inverse problem (f from a table) is the same generating function,
+solved node by node by the exponential recurrence (see _marching_solve)
+and checked by one forward evaluation of the closed form.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def thermal_occupation(omega_mev, temperature_k: float):
 
 
 def poisson_i_max(s: float) -> int:
-    """Number of Poisson terms whose span sets the sideband grid length
-    (and the depth of the marching solve).
+    """Number of Poisson terms whose span sets the sideband grid length.
 
     max(20, ceil(s + 10 sqrt(s))) keeps the weight of the terms beyond it
     below 1e-9 for any s.
@@ -219,36 +219,38 @@ def forward_sideband(f: GridFunction, s0: float) -> GridFunction:
 
 
 def _marching_solve(target: np.ndarray, h: float, s0: float,
-                    n_cap: int, i_max: int) -> np.ndarray:
-    """Direct node-by-node solve of the convolution series on [0, cap].
+                    n_cap: int) -> np.ndarray:
+    """Node-by-node solve of the discrete series on [0, cap].
 
-    The discrete series is lower triangular in the node index: with
-    f[0] = 0, every self-convolution value at node k depends only on
-    f[1..k-1], so
+    With phi(z) = sum_k f[k] z^k over node indices, the discrete series is
+    the power series identity
 
-        f[k] = (target[k] - sum_{i>=2} w_i F_i[k]) / w_1
+        h e^{s0} target(z) = exp(s0 h phi(z)) - 1,
 
-    can be marched left to right (a Volterra-type inversion).  Negative
-    excursions from noise are clipped as we go.
+    the Lax generating function the forward map evaluates by FFT.  The
+    coefficients E[k] of E = exp(G), G = s0 h phi, G[0] = 0, obey the
+    power-series exponential recurrence (Knuth, TAOCP vol. 2, 4.7)
+
+        E[k] = G[k] + rest[k],  rest[k] = (1/k) sum_{j=1..k-1} j G[j] E[k-j],
+
+    and rest[k] depends only on nodes 1..k-1, so G[k] = h e^{s0} target[k] -
+    rest[k] is marched left to right with one dot per node.  A negative
+    G[k] (noise) is clipped to 0 and E[k] is rebuilt from the clipped
+    value, so later nodes see the clipped density.
     """
-    log_s = math.log(s0)
-    w = [math.exp(-s0 + i * log_s - math.lgamma(i + 1.0))
-         for i in range(1, i_max + 1)]
-    f = np.zeros(n_cap)
-    conv = np.zeros((i_max + 1, n_cap))  # conv[i] = f^{(x) i}, conv[1] = f
+    e_target = h * math.exp(s0) * target
+    e = np.zeros(n_cap)  # E[k] of the clipped density
+    g = np.zeros(n_cap)
+    jg = np.zeros(n_cap)  # j G[j]
+    e[0] = 1.0
     for k in range(1, n_cap):
-        higher = 0.0
-        for i in range(2, i_max + 1):
-            # F_i[k] = h * sum_j F_{i-1}[j] f[k-j], j = 1..k-1
-            c = h * float(np.dot(conv[i - 1, 1:k], f[k - 1:0:-1]))
-            conv[i, k] = c
-            higher += w[i - 1] * c
-            if conv[i - 1, : k].max(initial=0.0) == 0.0:
-                break
-        val = (target[k] - higher) / w[0]
-        f[k] = val if val > 0.0 else 0.0
-        conv[1, k] = f[k]
-    return f
+        rest = float(np.dot(jg[1:k], e[k - 1:0:-1])) / k
+        gk = e_target[k] - rest
+        if gk > 0.0:
+            g[k] = gk
+            jg[k] = k * gk
+        e[k] = g[k] + rest
+    return g / (s0 * h)
 
 
 def extract_one_phonon(f0: GridFunction, s0: float, *,
@@ -257,15 +259,22 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     """Recover the one-phonon density from a measured sideband.
 
     The target is the input rescaled to mass 1 - e^{-s0}, so any overall
-    amplitude calibration of the table drops out.  A direct marching
-    solve of the (lower triangular) discrete convolution series gives
-    the density, renormalized to unit mass; one forward evaluation of the
-    series checks it.  An L1 residual on the input window of ``tol`` or
-    more (noise, or a table no non-negative density reproduces) raises
-    DeconvolutionError.
+    amplitude calibration of the table drops out.  On the node index the
+    series is the identity h e^{s0} target(z) = exp(s0 h phi(z)) - 1 with
+    phi(z) = sum_k f[k] z^k, solved left to right for f[k] by the
+    power-series exponential recurrence; a node that comes out negative
+    (noise) is clipped to 0, and later nodes see the clipped density.
+    The density is renormalized to unit mass and checked by one forward
+    evaluation of the series.  An L1 residual on the input window of
+    ``tol`` or more (noise, or a table no non-negative density
+    reproduces) raises DeconvolutionError.  s0 above 700 raises
+    ValueError: e^{s0} would overflow.
     """
     if s0 <= 0:
         raise ValueError("s0 must be > 0")
+    if s0 > _EXP_MAX:
+        raise ValueError(f"s0 = {s0:g} is above {_EXP_MAX:g}: e^s0 overflows "
+                         "the deconvolution")
     if abs(f0.omega_min) > 1e-9:
         raise ValueError("sideband table must start at omega = 0")
     if np.any(f0.values < -1e-12 * max(1.0, float(np.max(f0.values)))):
@@ -279,7 +288,7 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     n_win = f0.size
     n_cap = min(n_win, int(math.floor(support_cap / h + 1e-9)) + 1)
 
-    f_vals = _marching_solve(target, h, s0, n_cap, poisson_i_max(s0))
+    f_vals = _marching_solve(target, h, s0, n_cap)
     f_mass = np.trapezoid(f_vals, dx=h)
     if f_mass <= 0:
         raise ValueError("sideband table vanishes on the one-phonon window")

@@ -262,6 +262,19 @@ def test_parameter_error_exits_2_naming_key(config_path, tmp_path, capsys,
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["psb-build", "rate-e12", "lifetime",
+                                     "mix", "lowt-error"])
+def test_negative_temperature_exits_2_citing_line(config_path, tmp_path,
+                                                  capsys, command):
+    p = config_with(config_path, tmp_path, "temperature_k", "-5")
+    n_lines = len(p.read_text().splitlines())
+    assert cli.main([command, "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"c.txt:{n_lines}:" in err and "temperature_k" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_disordered_band_rejected(config_path, tmp_path, capsys):
     text = config_path.read_text().replace("perp_ratio_hi = 1.4",
                                            "perp_ratio_hi = 1.1")

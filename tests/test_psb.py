@@ -13,6 +13,7 @@ from nvisc.psb import (
     DeconvolutionError,
     PsbModel,
     _fft_length,
+    _marching_solve,
     extract_one_phonon,
     forward_sideband,
     huang_rhys,
@@ -304,6 +305,80 @@ def test_noisy_table_reports_first_residual(noise):
     with pytest.raises(DeconvolutionError) as ei:
         PsbModel.from_overlap(noisy, 3.49)
     assert 1e-5 <= ei.value.residual < 1e-4
+
+
+def _term_by_term_march(target, h, s0, n_cap, i_max):
+    """Reference: the series f[k] = (target[k] - sum_{i>=2} w_i F_i[k]) / w_1
+    marched node by node with one convolution value per Poisson term,
+    F_i = F_{i-1} (x) f, w_i = e^{-s0} s0^i / i!.  Returns the clipped
+    density and the number of nodes where the clip acted."""
+    log_s = math.log(s0)
+    w = [math.exp(-s0 + i * log_s - math.lgamma(i + 1.0))
+         for i in range(1, i_max + 1)]
+    f = np.zeros(n_cap)
+    conv = np.zeros((i_max + 1, n_cap))  # conv[i] = f^{(x) i}, conv[1] = f
+    clipped = 0
+    for k in range(1, n_cap):
+        higher = 0.0
+        for i in range(2, i_max + 1):
+            c = h * float(np.dot(conv[i - 1, 1:k], f[k - 1:0:-1]))
+            conv[i, k] = c
+            higher += w[i - 1] * c
+        val = (target[k] - higher) / w[0]
+        clipped += val < 0.0
+        f[k] = max(val, 0.0)
+        conv[1, k] = f[k]
+    return f, clipped
+
+
+def _march_both(table, s0):
+    """New and reference march on ``table`` as extract_one_phonon sets it up."""
+    h = table.step
+    target = table.values * ((1.0 - math.exp(-s0)) / integrate(table))
+    n_cap = min(table.size, int(math.floor(200.0 / h + 1e-9)) + 1)
+    ref, clipped = _term_by_term_march(target, h, s0, n_cap, poisson_i_max(s0))
+    return _marching_solve(target, h, s0, n_cap), ref, clipped
+
+
+def test_recurrence_matches_term_by_term_on_noisy_table():
+    table = read_csv(DATA / "psb_low_temperature.csv")
+    rng = np.random.default_rng(11)
+    noisy = GridFunction(table.omega_min, table.step, table.values * (
+        1.0 + 1e-4 * rng.standard_normal(table.size)))
+    got, ref, _ = _march_both(noisy, 3.49)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_recurrence_clips_like_term_by_term():
+    # a dip in the two-phonon region drives the unclipped solve negative
+    s0 = 3.49
+    f0 = forward_sideband(smooth_density([47, 70], [8, 11], [0.45, 0.55],
+                                         step=0.5), s0)
+    vals = f0.values.copy()
+    vals[(f0.grid > 100.0) & (f0.grid < 140.0)] *= 0.4
+    got, ref, clipped = _march_both(GridFunction(0.0, f0.step, vals), s0)
+    assert clipped > 0
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    s0=st.floats(0.3, 8.0),
+    c1=st.floats(25.0, 90.0),
+    c2=st.floats(95.0, 160.0),
+    a=st.floats(0.2, 0.8),
+)
+def test_property_extract_inverts_forward(s0, c1, c2, a):
+    f_true = smooth_density([c1, c2], [8.0, 12.0], [a, 1.0 - a], step=0.5)
+    f = extract_one_phonon(forward_sideband(f_true, s0), s0)
+    assert f.size == f_true.size
+    assert np.trapezoid(np.abs(f.values - f_true.values), dx=0.5) <= 1e-10
+
+
+def test_extract_rejects_overflowing_s0():
+    table = smooth_density([60], [10], [1.0], step=0.5)
+    with pytest.raises(ValueError, match="s0 = 760"):
+        extract_one_phonon(table, 760.0)
 
 
 # --------------------------------------------------- thermal overlap
