@@ -4,9 +4,11 @@
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 30 --out BENCH_<n>.json
 
 Checks out ``--base`` with ``git worktree add`` under a temporary
-directory, then for seeds first-seed .. first-seed + pairs - 1 runs
+directory, then for seeds 1 .. pairs runs
 ``perfbench/run.py --workload all --seed k --seconds S`` once in each
 tree, alternating which side runs first (base first on even seeds).
+The working tree must have no uncommitted changes to tracked files, so
+the recorded ``change_head`` names the code that was measured.
 Each side runs its own ``perfbench/run.py`` from its own root; the output
 records whether ``perfbench/`` and ``BENCHMARK.json`` differ between the
 two.  The output file holds every result line and, per workload and
@@ -83,11 +85,13 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if git("status", "--porcelain", "--untracked-files=no"):
+        ap.error("the working tree has uncommitted changes; commit them so "
+                 "change_head names the measured code")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -96,7 +100,6 @@ def main(argv=None) -> int:
         "base": args.base,
         "base_commit": base_sha,
         "change_head": git("rev-parse", "HEAD"),
-        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "benchmark_identical": subprocess.run(
             ["git", "diff", "--quiet", base_sha, "--", "perfbench", "BENCHMARK.json"],
             cwd=ROOT).returncode == 0,
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
         base_tree = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(base_tree), base_sha)
         try:
-            for seed in range(args.first_seed, args.first_seed + args.pairs):
+            for seed in range(1, args.pairs + 1):
                 order = ("base", "change") if seed % 2 == 0 else ("change", "base")
                 for side in order:
                     tree = base_tree if side == "base" else ROOT

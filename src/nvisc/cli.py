@@ -516,6 +516,8 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
         raise ConfigError(f"sweep supports --axis T, got {args.axis!r}")
     if args.step_value <= 0 or args.to_value < args.from_value:
         raise ConfigError("sweep needs --from <= --to and --step > 0")
+    if args.from_value < 0.0:
+        raise ConfigError(f"sweep --from must be >= 0 K, got {args.from_value:g}")
     n = int(math.floor((args.to_value - args.from_value) / args.step_value + 1e-9))
     temps = args.from_value + args.step_value * np.arange(n + 1)
     curves = _lifetime_rows(cfg, temps)

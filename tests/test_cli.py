@@ -376,6 +376,14 @@ def test_sweep_rejects_other_axes(config_path, tmp_path, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+def test_sweep_negative_start_exits_2(config_path, tmp_path, capsys):
+    assert cli.main(["sweep", "lifetime", "--from", "-50", "--to", "10",
+                     "--config", str(config_path), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "--from" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_sweep_rejects_other_commands(config_path, tmp_path, capsys):
     assert cli.main(["sweep", "ratio", "--config", str(config_path),
                      "--out", str(tmp_path)]) == 2
