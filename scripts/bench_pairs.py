@@ -12,8 +12,12 @@ the recorded ``change_head`` names the code that was measured.
 Each side runs its own ``perfbench/run.py`` from its own root; the output
 records whether ``perfbench/`` and ``BENCHMARK.json`` differ between the
 two.  The output file holds every result line and, per workload and
-end-to-end metric, each side's median and quartiles and the number of
-pairs the working tree wins (ties count for neither side).
+end-to-end metric, each side's median and quartiles, the number of
+pairs the working tree wins (ties count for neither side) and two
+verdicts: ``within_bound`` (no worse than the BENCHMARK.json bound) and
+``gain`` (at least 9 in 10 pairs won, medians apart by more than the
+base interquartile range).  Each metric out of bound or gaining is also
+printed to stderr.
 
 Standard library only; it does not import or edit ``perfbench/``.
 """
@@ -56,8 +60,14 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
-    """Per workload and metric: both sides' spread and the change's wins."""
+def summarize(runs: list[dict], specs: dict) -> dict:
+    """Per workload and metric: both sides' spread, the change's wins and
+    two verdicts.  ``specs`` maps each end-to-end metric to its
+    BENCHMARK.json entry ("better", "bound").  ``within_bound``: the
+    change's median is worse than the base median by no more than the
+    bound (a fraction of the base median).  ``gain``: the change wins at
+    least 9 in 10 pairs and its median is better than the base median by
+    more than the base interquartile range."""
     by_seed: dict = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["result"]["metrics"]
@@ -67,17 +77,41 @@ def summarize(runs: list[dict], better: dict) -> dict:
         workload, metric = key.split(".", 1)
         base = [p["base"][key]["value"] for p in pairs]
         change = [p["change"][key]["value"] for p in pairs]
-        sign = 1.0 if better[metric] == "higher" else -1.0
+        better, bound = specs[metric]["better"], specs[metric]["bound"]
+        sign = 1.0 if better == "higher" else -1.0
+        b, c = spread(base), spread(change)
+        wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
         out.setdefault(workload, {})[metric] = {
             "unit": pairs[0]["base"][key]["unit"],
-            "better": better[metric],
-            "base": spread(base),
-            "change": spread(change),
-            "change_wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "better": better,
+            "bound": bound,
+            "base": b,
+            "change": c,
+            "change_wins": wins,
             "pairs": len(pairs),
-            "per_pair": [{"base": b, "change": c} for b, c in zip(base, change)],
+            "within_bound": sign * (c["median"] - b["median"]) >= -bound * abs(b["median"]),
+            "gain": (10 * wins >= 9 * len(pairs)
+                     and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"]),
+            "per_pair": [{"base": x, "change": y} for x, y in zip(base, change)],
         }
     return out
+
+
+def verdict_lines(summary: dict) -> list[str]:
+    """One line per workload and metric that is out of bound or gains."""
+    lines = []
+    for workload, metrics in summary.items():
+        for metric, m in metrics.items():
+            verdicts = ([] if m["within_bound"] else [f"worse than its {m['bound']:g} bound"]) \
+                + (["gain"] if m["gain"] else [])
+            if not verdicts:
+                continue
+            lines.append(
+                f"{workload} {metric}: {', '.join(verdicts)}: median {m['base']['median']:.4g} -> "
+                f"{m['change']['median']:.4g} {m['unit']}, base IQR "
+                f"{m['base']['q3'] - m['base']['q1']:.3g}, change wins "
+                f"{m['change_wins']}/{m['pairs']}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -94,7 +128,7 @@ def main(argv=None) -> int:
                  "change_head names the measured code")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    specs = {m["name"]: m for m in bench["end_to_end"]}
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     header = {
         "base": args.base,
@@ -111,7 +145,7 @@ def main(argv=None) -> int:
 
     def save() -> None:
         # rewritten after every run, so an interrupted session keeps its pairs
-        payload = {**header, "runs": runs, "summary": summarize(runs, better)}
+        payload = {**header, "runs": runs, "summary": summarize(runs, specs)}
         args.out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -130,6 +164,8 @@ def main(argv=None) -> int:
                           f"failed={result['failed']}", file=sys.stderr, flush=True)
         finally:
             git("worktree", "remove", "--force", str(base_tree))
+    for line in verdict_lines(summarize(runs, specs)):
+        print(line, file=sys.stderr)
     return 0 if all(r["result"]["correct"] and r["result"]["failed"] == 0
                     for r in runs) else 1
 

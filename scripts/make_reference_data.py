@@ -8,7 +8,9 @@ unit-emission normalization, so that direct-crossing rates computed from
 the quoted spin-orbit strengths come out at the measured 16 MHz scale.
 Run with --check to print the diagnostic summary without writing, or
 --tune to re-run the shape optimizer that produced the frozen
-parameters (slow; prints a new parameter block to paste in).
+parameters (slow; prints a new parameter block to paste in).  --out DIR
+writes the tables to DIR instead of src/nvisc/data; the shipped tables
+are byte-identical to a fresh run.
 """
 
 import argparse
@@ -275,19 +277,19 @@ def tune(shape):
 # dataset writers
 
 
-def write_psb_tables(shape):
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
+def write_psb_tables(shape, out: Path):
+    out.mkdir(parents=True, exist_ok=True)
     f0 = shape_overlap(shape)
     table = crop(f0, 0.0, TABLE_MAX).scaled(AMPLITUDE)
     write_csv(
-        table, DATA_DIR / "psb_low_temperature.csv",
+        table, out / "psb_low_temperature.csv",
         header_comment=(
             "Low-temperature phonon-sideband overlap reconstruction.\n"
             "Columns: omega_meV (energy offset below the zero-phonon line),"
             " value (1/meV).\n"
             "Amplitude convention: integral = 2*pi*(1 - exp(-3.49)); divide"
             " by 2*pi for the unit-emission normalization."))
-    (DATA_DIR / "psb_manifest.txt").write_text(
+    (out / "psb_manifest.txt").write_text(
         "# sideband model inputs; paths are relative to this file\n"
         "f0_csv = psb_low_temperature.csv\n"
         f"s0 = {S0}\n"
@@ -297,11 +299,11 @@ def write_psb_tables(shape):
     syn = syn.scaled(1.0 / integrate(syn))
     f0_syn = crop(forward_sideband(syn, 1.2), 0.0, 600.0)
     write_csv(
-        f0_syn, DATA_DIR / "psb_synthetic.csv",
+        f0_syn, out / "psb_synthetic.csv",
         header_comment=(
             "Synthetic sideband (two-component one-phonon density, S = 1.2)\n"
             "for deconvolution demos; unit-emission normalization."))
-    (DATA_DIR / "psb_synthetic_manifest.txt").write_text(
+    (out / "psb_synthetic_manifest.txt").write_text(
         "f0_csv = psb_synthetic.csv\n"
         "s0 = 1.2\n"
         "omega_mev = 200.0\n", encoding="utf-8")
@@ -325,7 +327,7 @@ def ht_s_factor() -> float:
     return nu_ht / (GAMMA_RAD * math.exp(-HT_DELTA_E_EV / kt_ev))
 
 
-def write_lifetime_table() -> float:
+def write_lifetime_table(out: Path) -> float:
     s = ht_s_factor()
     temps = np.linspace(295.0, 700.0, 18)
     kt_ev = np.array([thermal_energy(t) for t in temps]) * 1e-3
@@ -336,7 +338,7 @@ def write_lifetime_table() -> float:
     noise = np.clip(rng.normal(0.0, 0.25, temps.size), -0.6, 0.6)
     tau_obs = tau + noise * sigma
     write_table(
-        DATA_DIR / "high_temperature_lifetimes.csv",
+        out / "high_temperature_lifetimes.csv",
         (("temperature_K", ".10g"), ("tau_ns", ".6g"), ("sigma_ns", ".4g"),
          ("spin_class", "")),
         zip(temps, tau_obs, sigma, ["ms0"] * temps.size),
@@ -344,7 +346,7 @@ def write_lifetime_table() -> float:
     return s
 
 
-def write_mixing_table():
+def write_mixing_table(out: Path):
     temps = np.arange(8.0, 41.0, 4.0)
     dxy = ghz_to_mev(3.9)
     rates_clean = np.array([
@@ -354,15 +356,15 @@ def write_mixing_table():
     noise = np.clip(rng.normal(0.0, 0.6, temps.size), -1.5, 1.5)
     series = MixSeries(temps, rates_clean + noise * sigmas, sigmas)
     write_table(
-        DATA_DIR / "mixing_rates_synthetic.csv",
+        out / "mixing_rates_synthetic.csv",
         (("temperature_K", ".10g"), ("gamma_mix_MHz", ".12g"), ("sigma_MHz", ".12g")),
         zip(series.temperatures_k, series.rates_mhz, series.sigmas_mhz),
         header_comment=("Synthetic two-phonon orbital mixing rates"
                         " (eta = 44 MHz/meV^3, splitting 3.9 GHz)."))
 
 
-def write_default_config(s_factor: float):
-    (DATA_DIR / "default_config.txt").write_text(
+def write_default_config(s_factor: float, out: Path):
+    (out / "default_config.txt").write_text(
         "# default analysis configuration; paths are relative to this file\n"
         "psb_manifest = psb_manifest.txt\n"
         "lambda_par_ghz = 5.33\n"
@@ -396,8 +398,8 @@ def write_default_config(s_factor: float):
         encoding="utf-8")
 
 
-def verify_round_trip():
-    model = PsbModel.from_manifest(DATA_DIR / "psb_manifest.txt")
+def verify_round_trip(out: Path):
+    model = PsbModel.from_manifest(out / "psb_manifest.txt")
     print(f"  round-trip residual: {model.roundtrip_residual():.3e}")
     print(f"  recovered amplitude scale: {model.scale:.6f}"
           f" (2*pi = {2 * math.pi:.6f})")
@@ -410,6 +412,9 @@ def main(argv=None):
                     help="print diagnostics for the frozen shape, no writes")
     ap.add_argument("--tune", action="store_true",
                     help="re-run the shape optimizer (slow)")
+    ap.add_argument("--out", type=Path, default=DATA_DIR, metavar="DIR",
+                    help="directory the tables are written to "
+                         "(default: src/nvisc/data)")
     args = ap.parse_args(argv)
 
     shape = SHAPE
@@ -420,12 +425,12 @@ def main(argv=None):
     if args.check or args.tune:
         return 0
 
-    write_psb_tables(shape)
-    s_factor = write_lifetime_table()
-    write_mixing_table()
-    write_default_config(s_factor)
-    print("datasets written to", DATA_DIR)
-    verify_round_trip()
+    write_psb_tables(shape, args.out)
+    s_factor = write_lifetime_table(args.out)
+    write_mixing_table(args.out)
+    write_default_config(s_factor, args.out)
+    print("datasets written to", args.out)
+    verify_round_trip(args.out)
     return 0
 
 

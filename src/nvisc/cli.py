@@ -518,7 +518,9 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
         raise ConfigError("sweep needs --from <= --to and --step > 0")
     if args.from_value < 0.0:
         raise ConfigError(f"sweep --from must be >= 0 K, got {args.from_value:g}")
-    n = int(math.floor((args.to_value - args.from_value) / args.step_value + 1e-9))
+    span = (args.to_value - args.from_value) / args.step_value
+    psb.check_grid(span + 1, "the temperature sweep")
+    n = int(math.floor(span + 1e-9))
     temps = args.from_value + args.step_value * np.arange(n + 1)
     curves = _lifetime_rows(cfg, temps)
     write_table(out / "lifetime_vs_T.csv", _CURVE_COLUMNS, curves.rows(),

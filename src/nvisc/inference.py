@@ -20,14 +20,16 @@ import math
 import numpy as np
 
 from .gridfn import GridFunction, IntervalSet, MeasuredBand, band_intersections, read_table
-from .psb import PsbModel
+from .psb import PsbModel, check_grid
 from .rates import (
     HighTempParams,
     LevelSpacings,
     PhononCoupling,
     RateResult,
     SpinOrbitParams,
-    e12_a1_ratio,
+    _assisted_sweep,
+    _lattice_step,
+    _require_overlap,
     gamma_a1,
     gamma_e12_finiteT,
     gamma_e12_lowT,
@@ -122,6 +124,7 @@ def infer_delta(so: SpinOrbitParams, f: GridFunction, target: MeasuredBand,
     lo, hi, step = sweep
     lo = max(lo, f.omega_min)
     hi = min(hi, f.omega_max)
+    check_grid((hi - lo) / step + 1, f"a gap sweep in {step:g} meV steps")
     n = int(math.floor((hi - lo) / step)) + 1
     if n < 2:
         return IntervalSet.empty()
@@ -145,19 +148,16 @@ def infer_delta(so: SpinOrbitParams, f: GridFunction, target: MeasuredBand,
 def _cumulative_ratio(pc_eta_internal: float, f: GridFunction, delta: float,
                       delta_prime: float, include_singlet_path: bool,
                       omega_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone cutoff -> ratio curve via a running trapezoid sum."""
+    """Monotone cutoff -> ratio curve: a cutoff sweep of the assisted
+    integral over the OMEGA_GRID_STEP nodes up to min(omega_max, delta)."""
     fd = f.sample(delta)
     if fd <= 0.0:
         raise ValueError(
             f"F(Delta) = 0 at Delta = {delta} meV; ratio is undefined")
     h = OMEGA_GRID_STEP
     om = h * np.arange(int(math.ceil(min(omega_max, delta) / h)) + 1)
-    w = om.copy()
-    if include_singlet_path and math.isfinite(delta_prime):
-        w = om * (1.0 - 2.0 * om / (delta + delta_prime)) ** 2
-    integrand = w * f.sample(delta - om)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * h)])
+    cum = _assisted_sweep(f, delta, om, 0.0, h,
+                          delta_prime if include_singlet_path else math.inf)
     return om, (2.0 / math.pi) * pc_eta_internal * cum / fd
 
 
@@ -230,24 +230,34 @@ def lowT_error_map(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
     finite-temperature one, swept over the gap or the cutoff.
 
     The direct rate drops out of the assisted-to-direct ratio when both
-    use the same overlap, so the rates are compared directly.
+    use the same overlap, and so does the common prefactor 8 lambda_perp^2
+    eta, so the two assisted integrals are compared directly: one gap
+    sweep or one cutoff sweep of each, on the lattice of the largest step
+    <= RATE_STEP that divides ``step``.
     """
     if axis not in ("delta", "omega"):
         raise ValueError("axis must be delta or omega")
     if temperature_k < 0:
         raise ValueError("temperature must be >= 0")
-    f0 = psb.calibrated_overlap(0.0)
+    check_grid((hi - lo) / step + 1, f"a {axis} error map in {step:g} meV steps")
     grid = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
-    errs = np.empty(grid.size)
-    for i, x in enumerate(grid):
-        if axis == "delta":
-            ls_i, pc_i = LevelSpacings(float(x), ls.delta_prime), pc
-        else:
-            ls_i, pc_i = ls, pc.with_omega(float(x))
-        cold = gamma_e12_lowT(so, pc_i, f0, ls_i).value_mhz
-        warm = gamma_e12_finiteT(so, pc_i, psb, ls_i, temperature_k).value_mhz
-        errs[i] = abs(warm - cold) / cold
-    return GridFunction(float(grid[0]), step, errs)
+    if grid.size < 2:
+        raise ValueError("the error map needs at least 2 nodes")
+    f0 = psb.calibrated_overlap(0.0)
+    f_t = psb.calibrated_overlap(temperature_k)
+    h = _lattice_step(step)
+    # the parameter objects validate the first (smallest) node
+    if axis == "delta":
+        LevelSpacings(float(grid[0]), ls.delta_prime)
+        _require_overlap(f0, grid)
+        cold = _assisted_sweep(f0, grid, np.minimum(grid, pc.omega_mev), 0.0, h)
+        warm = _assisted_sweep(f_t, grid, pc.omega_mev, temperature_k, h)
+    else:
+        pc.with_omega(float(grid[0]))
+        _require_overlap(f0, ls.delta)
+        cold = _assisted_sweep(f0, ls.delta, np.minimum(grid, ls.delta), 0.0, h)
+        warm = _assisted_sweep(f_t, ls.delta, grid, temperature_k, h)
+    return GridFunction(float(grid[0]), step, np.abs(warm - cold) / cold)
 
 
 # ---------------------------------------------------------------------------

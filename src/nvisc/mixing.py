@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .gridfn import GridFunction, read_table
-from .psb import thermal_occupation
+from .psb import check_grid, thermal_occupation
 from .rates import RateResult
 from .units import MEV_TO_MHZ, eta_mhz_to_internal, ghz_to_mev, thermal_energy
 
@@ -158,6 +158,7 @@ def gamma_mix_spectral(mp: MixingParams, omega_max: float | None = None,
         omega_max = 40.0 * kt
     if step is None:
         step = kt / 100.0
+    check_grid(omega_max / step + 1, f"a mixing spectrum in {step:g} meV steps")
     n = max(2, int(math.ceil(omega_max / step)) + 1)
     om = np.linspace(0.0, omega_max, n)
     vals = np.zeros(n)

@@ -61,6 +61,7 @@ __all__ = [
     "thermal_overlap",
     "PsbModel",
     "DeconvolutionError",
+    "check_grid",
 ]
 
 # one-phonon support cap (meV): roughly the top of the phonon spectrum,
@@ -75,6 +76,11 @@ _EXP_MAX = 700.0
 # shipped model
 MAX_SIDEBAND_NODES = 1 << 21
 
+# work bound for every other grid sized from user input (rate lattices,
+# gap, cutoff and temperature sweeps): the most nodes one call allocates,
+# or rows x window products it visits
+MAX_GRID_NODES = 1 << 22
+
 
 class DeconvolutionError(RuntimeError):
     """Deconvolved density misses the table; carries the L1 residual."""
@@ -82,6 +88,16 @@ class DeconvolutionError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
+
+
+def check_grid(nodes: float, what: str) -> None:
+    """Refuse, before allocating it, a grid of more than MAX_GRID_NODES
+    nodes (an infinite or NaN count too) with an ArithmeticError that
+    names ``what`` and the limit."""
+    if not nodes <= MAX_GRID_NODES:
+        raise ArithmeticError(
+            f"{what} needs {nodes:.6g} nodes, above the work limit of "
+            f"{MAX_GRID_NODES} nodes")
 
 
 def thermal_occupation(omega_mev, temperature_k: float):

@@ -11,9 +11,22 @@ The split pair crosses through a phonon-assisted second-order path,
     Gamma_assisted = 8 lambda_perp^2 eta int_0^Omega omega
                      { [n+1] F(Delta - omega, T) + n F(Delta + omega, T) } domega,
 
-which at T = 0 collapses to the emission term alone.  An optional
-interference correction for the second singlet replaces the weight
-omega by omega (1 - 2 omega / (Delta + Delta'))^2 in the T = 0 form.
+which at T = 0 collapses to the emission term alone, cut at
+min(Delta, Omega).  An optional interference correction for the second
+singlet replaces the weight omega by omega (1 - 2 omega / (Delta + Delta'))^2
+in the T = 0 form.
+
+Every assisted integral, from one rate to a whole gap or cutoff sweep,
+goes through one kernel (_assisted_sweep).  It samples each overlap once,
+on a lattice of step h, and reads each gap's integrand as a row of a
+sliding-window view of those samples: emission and absorption weights,
+the kT term at omega = 0 and the trapezoid end weights form one weight
+row, so a gap sweep is one matrix-vector product and a cutoff sweep one
+cumulative trapezoid.  h is the largest step <= RATE_STEP that divides
+the sweep step (for one rate, its upper limit), so sweep nodes and
+cutoffs sit on lattice nodes; a cutoff off the lattice ends with a
+partial trapezoid cell.  A lattice or a gap sweep (rows x window) above
+psb.MAX_GRID_NODES nodes raises ArithmeticError before it is allocated.
 
 Everything internal is hbar = 1 and meV; results are reported as
 ordinary frequencies in MHz (Gamma / 2 pi).  RateResult bands are plain
@@ -26,9 +39,10 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .gridfn import GridFunction, integrate
-from .psb import PsbModel, thermal_occupation
+from .gridfn import GridFunction
+from .psb import PsbModel, check_grid, thermal_occupation
 from .units import (
     MEV_TO_MHZ,
     eta_mhz_to_internal,
@@ -56,6 +70,8 @@ __all__ = [
 # default integration step for rate integrands (meV); fine enough to
 # resolve thermal structure at a few kelvin
 RATE_STEP = 0.01
+# a cutoff within this fraction of a lattice cell of a node sits on it
+_ON_LATTICE = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -201,22 +217,130 @@ def gamma_a1(so: SpinOrbitParams, f: GridFunction, delta_mev: float) -> RateResu
 # phonon-assisted (second-order) crossing
 
 
-def _assisted_integral(f: GridFunction, delta: float, omega_cut: float,
-                       delta_prime: float, include_singlet_path: bool,
-                       step: float = RATE_STEP) -> float:
-    """int_0^min(Delta, Omega) w(omega) F(Delta - omega) domega with
-    w = omega, or omega (1 - 2 omega/(Delta + Delta'))^2 when the
-    second-singlet interference path is included."""
-    upper = min(delta, omega_cut)
-    if upper <= 0:
-        return 0.0
-    n = max(2, int(math.ceil(upper / step)) + 1)
-    om = np.linspace(0.0, upper, n)
-    w = om.copy()
-    if include_singlet_path and math.isfinite(delta_prime):
-        w = om * (1.0 - 2.0 * om / (delta + delta_prime)) ** 2
-    vals = w * f.sample(delta - om)
-    return float(np.trapezoid(vals, om))
+def _lattice_step(span: float, step: float = RATE_STEP) -> float:
+    """Largest lattice step <= ``step`` that divides ``span``: the gap or
+    cutoff step of a sweep, or a single row's upper limit.  A row's
+    lattice spans Delta -+ span, which must fit psb.MAX_GRID_NODES."""
+    cells = span / step
+    check_grid(2.0 * cells + 1.0, f"a {step:g} meV rate lattice over "
+               f"Delta -+ {span:g} meV")
+    return span / math.ceil(cells)
+
+
+def _thermal_weights(om: np.ndarray, temperature_k: float,
+                     n_powers: int) -> tuple[np.ndarray, np.ndarray]:
+    """Emission and absorption weights omega^p (n+1) omega and
+    omega^p n omega on the nodes ``om`` (om[0] = 0), one row per power
+    p < n_powers; omega n -> kT at omega = 0 (the kT term)."""
+    kt = thermal_energy(temperature_k)
+    em = om.copy()
+    ab = np.zeros_like(om)
+    if kt > 0.0:
+        occ = thermal_occupation(om[1:], temperature_k)
+        em[1:] = om[1:] * (occ + 1.0)
+        ab[1:] = om[1:] * occ
+        em[0] = ab[0] = kt
+    powers = om ** np.arange(n_powers)[:, None]
+    return em * powers, ab * powers
+
+
+def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
+                    h: float, delta_prime: float = math.inf) -> np.ndarray:
+    """int_0^c w(omega) {[n+1] F(Delta - omega) + n F(Delta + omega)} domega
+    for a whole sweep, one value per (Delta, c) pair.
+
+    The weight is w = omega, or omega (1 - 2 omega/(Delta + Delta'))^2
+    for a finite ``delta_prime``, expanded in powers of omega so that one
+    weight row per power serves every gap.  F is sampled once, on a
+    lattice of step ``h`` from min(Delta) - max(c) to max(Delta) + max(c)
+    (to max(Delta) at T = 0, where n = 0), and the integrand is taken as
+    linear between lattice nodes: a cutoff off the lattice ends with a
+    partial trapezoid cell.
+
+    Either ``deltas`` is one gap or a uniform sweep whose step is a
+    multiple of ``h`` with one cutoff per gap (a gap sweep: each gap's
+    integrand is a row of a sliding-window view of the samples, and the
+    sweep is one matrix-vector product per power), or ``deltas`` is one
+    gap and ``cutoffs`` sweeps (a cutoff sweep: one cumulative trapezoid
+    read at each cutoff).  Grids beyond psb.MAX_GRID_NODES are refused
+    before they are allocated.
+    """
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    cutoffs = np.atleast_1d(np.asarray(cutoffs, dtype=float))
+    if cutoffs.size == 1:
+        cutoffs = np.full(deltas.size, cutoffs[0])
+    warm = thermal_energy(temperature_k) > 0.0
+    # each cutoff as k whole lattice cells plus a fraction tau of the next
+    cells = cutoffs / h
+    k = np.floor(cells + _ON_LATTICE)
+    tau = np.where(cells - k > _ON_LATTICE, cells - k, 0.0)
+    # n cells cover the largest cutoff; a window spans Delta - n h to Delta,
+    # and on to Delta + n h when the absorption half is on
+    n = float(np.max(k + (tau > 0.0)))
+    width = (2.0 if warm else 1.0) * n + 1.0
+    if deltas.size > 1:
+        stride = round((deltas[1] - deltas[0]) / h)
+        length = (deltas.size - 1) * stride + width
+        check_grid(deltas.size * width,
+                   f"a {deltas.size}-gap sweep over {width:.6g}-node windows")
+    else:
+        stride, length = 1, width
+    check_grid(length, f"a {h:g} meV rate lattice")
+    n, width, k = int(n), int(width), k.astype(int)
+    samples = f.sample(deltas[0] + h * np.arange(-n, int(length) - n))
+    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k,
+                              1 if math.isinf(delta_prime) else 3)
+    d = deltas + delta_prime
+    coef = np.stack([np.ones_like(d), -4.0 / d, 4.0 / d ** 2], axis=1)[:, :em.shape[0]]
+
+    if deltas.size == 1 and cutoffs.size > 1:
+        integrand = (coef[0] @ em) * samples[n::-1]
+        if warm:
+            integrand += (coef[0] @ ab) * samples[n:]
+        cum = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * h)])
+        nxt = integrand[np.minimum(k + 1, n)]
+        return cum[k] + 0.5 * h * tau * ((2.0 - tau) * integrand[k] + tau * nxt)
+
+    rows = sliding_window_view(samples, width)[::stride]
+    out = np.empty(deltas.size)
+    # consecutive gaps with one cutoff share one weight row per power
+    bounds = [0, *(np.flatnonzero(np.diff(cutoffs)) + 1), deltas.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        trap = np.zeros(n + 1)
+        trap[:k[a]] += 0.5 * h
+        trap[1:k[a] + 1] += 0.5 * h
+        if tau[a] > 0.0:
+            trap[k[a]] += 0.5 * h * tau[a] * (2.0 - tau[a])
+            trap[k[a] + 1] += 0.5 * h * tau[a] ** 2
+        weights = np.zeros((em.shape[0], width))
+        weights[:, n::-1] = trap * em
+        if warm:
+            weights[:, n:] += trap * ab
+        out[a:b] = sum(coef[a:b, p] * (rows[a:b] @ weights[p])
+                       for p in range(em.shape[0]))
+    return out
+
+
+def _require_overlap(f: GridFunction, deltas) -> None:
+    """Reject gaps where F(Delta) = 0: the zero-temperature rate keeps the
+    rate-ratio contract, and the ratio is undefined there."""
+    deltas = np.atleast_1d(deltas)
+    bad = deltas[f.sample(deltas) <= 0.0]
+    if bad.size:
+        raise ValueError(
+            f"F(Delta) = 0 at Delta = {float(bad[0])} meV; use the finite-T "
+            "form or a gap inside the sideband support")
+
+
+def _lowT_integral(f: GridFunction, pc: PhononCoupling, ls: LevelSpacings,
+                   include_singlet_path: bool) -> float:
+    """int_0^min(Delta, Omega) w(omega) F(Delta - omega) domega as a
+    one-row sweep; the interference weight when ``include_singlet_path``."""
+    upper = min(ls.delta, pc.omega_mev)
+    delta_prime = ls.delta_prime if include_singlet_path else math.inf
+    return float(_assisted_sweep(f, ls.delta, upper, 0.0, _lattice_step(upper),
+                                 delta_prime)[0])
 
 
 def e12_a1_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings,
@@ -229,8 +353,7 @@ def e12_a1_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings,
     if fd <= 0.0:
         raise ValueError(
             f"F(Delta) = 0 at Delta = {ls.delta} meV; the ratio is undefined")
-    integral = _assisted_integral(f, ls.delta, pc.omega_mev, ls.delta_prime,
-                                  include_singlet_path)
+    integral = _lowT_integral(f, pc, ls, include_singlet_path)
     return (2.0 / math.pi) * pc.eta_internal * integral / fd
 
 
@@ -244,12 +367,8 @@ def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
     the rate-ratio contract: F(Delta) = 0 is rejected since the quoted
     form is the ratio times the direct rate.
     """
-    if f.sample(ls.delta) <= 0.0:
-        raise ValueError(
-            f"F(Delta) = 0 at Delta = {ls.delta} meV; use the finite-T "
-            "form or a gap inside the sideband support")
-    integral = _assisted_integral(f, ls.delta, pc.omega_mev, ls.delta_prime,
-                                  include_singlet_path)
+    _require_overlap(f, ls.delta)
+    integral = _lowT_integral(f, pc, ls, include_singlet_path)
 
     def rate(ratio, eta_mhz):
         lp = so.lambda_perp_at(ratio)
@@ -262,34 +381,35 @@ def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
                       (rate(rlo, elo), rate(rhi, ehi)))
 
 
+def _e12_coef(so: SpinOrbitParams, pc: PhononCoupling) -> float:
+    """8 lambda_perp^2 eta in MHz per meV^2 of the assisted integral."""
+    lp = so.lambda_perp
+    return 8.0 * lp * lp * pc.eta_internal * MEV_TO_MHZ
+
+
 def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
                        psb: PsbModel, ls: LevelSpacings,
                        temperature_k: float, step: float = RATE_STEP,
                        branch: str = "both") -> GridFunction:
     """Spectral decomposition of the finite-T assisted rate (MHz/meV)
-    over the phonon energy axis [0, Omega]; integrates to the rate."""
+    over the phonon energy axis [0, Omega]; integrates to the rate.
+
+    The nodes are the rate lattice of gamma_e12_finiteT (the largest
+    step <= ``step`` dividing Omega) and the values are the sweep
+    kernel's weight row times the sampled overlap."""
     if branch not in ("both", "emission", "absorption"):
         raise ValueError("branch must be both, emission or absorption")
     f_t = psb.calibrated_overlap(temperature_k)
-    upper = pc.omega_mev
-    n = max(2, int(math.ceil(upper / step)) + 1)
-    om = np.linspace(0.0, upper, n)
-    h = om[1] - om[0]
-    kt = thermal_energy(temperature_k)
-    vals = np.zeros(n)
-    if kt > 0.0:
-        occ = thermal_occupation(om[1:], temperature_k)
-        if branch in ("both", "emission"):
-            vals[1:] += om[1:] * (occ + 1.0) * f_t.sample(ls.delta - om[1:])
-            vals[0] += kt * f_t.sample(ls.delta)
-        if branch in ("both", "absorption"):
-            vals[1:] += om[1:] * occ * f_t.sample(ls.delta + om[1:])
-            vals[0] += kt * f_t.sample(ls.delta)
-    elif branch in ("both", "emission"):
-        vals[1:] = om[1:] * f_t.sample(ls.delta - om[1:])
-    lp = so.lambda_perp
-    coef = 8.0 * lp * lp * pc.eta_internal * MEV_TO_MHZ
-    return GridFunction(0.0, h, coef * vals)
+    h = _lattice_step(pc.omega_mev, step)
+    n = round(pc.omega_mev / h)
+    samples = f_t.sample(ls.delta + h * np.arange(-n, n + 1))
+    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k, 1)
+    vals = np.zeros(n + 1)
+    if branch in ("both", "emission"):
+        vals += em[0] * samples[n::-1]
+    if branch in ("both", "absorption"):
+        vals += ab[0] * samples[n:]
+    return GridFunction(0.0, h, _e12_coef(so, pc) * vals)
 
 
 def gamma_e12_finiteT(so: SpinOrbitParams, pc: PhononCoupling,
@@ -297,8 +417,10 @@ def gamma_e12_finiteT(so: SpinOrbitParams, pc: PhononCoupling,
                       temperature_k: float, step: float = RATE_STEP) -> RateResult:
     """Finite-temperature assisted crossing rate (MHz): the integral of
     gamma_e12_spectral, with bands from the ratio and eta extremes."""
-    spectral = gamma_e12_spectral(so, pc, psb, ls, temperature_k, step)
-    value = integrate(spectral)
+    integral = _assisted_sweep(psb.calibrated_overlap(temperature_k),
+                               ls.delta, pc.omega_mev, temperature_k,
+                               _lattice_step(pc.omega_mev, step))[0]
+    value = _e12_coef(so, pc) * float(integral)
 
     def scale_to(ratio, eta_mhz):
         return (ratio / so.ratio_perp) ** 2 * (eta_mhz / pc.eta_mhz)

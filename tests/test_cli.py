@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line front end on the shipped data."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +370,36 @@ def test_temperature_beyond_work_limit_exits_3(config_path, tmp_path, capsys):
                      str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "work limit" in err and str(psb.MAX_SIDEBAND_NODES) in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+# one flag per grid sized from user input, each at a value whose grid
+# would take gigabytes: 8.5e8 cutoff nodes, 1.7e9 mixing nodes, 5.8e9
+# and 1.5e9 gap nodes, 7e8 temperatures
+OVERSIZED = {
+    "rate-e12": ["rate-e12", "--grid-step", "1e-7"],
+    "mix-spectral": ["mix-spectral", "--grid-step", "1e-8"],
+    "infer-delta": ["infer-delta", "--grid-step", "1e-7"],
+    "lowt-error": ["lowt-error", "--grid-step", "1e-7"],
+    "sweep": ["sweep", "lifetime", "--from", "0", "--to", "700", "--step",
+              "1e-6"],
+}
+
+
+@pytest.mark.parametrize("args", list(OVERSIZED.values()), ids=list(OVERSIZED))
+def test_oversized_grid_exits_3_before_allocating(config_path, tmp_path, args):
+    # the command runs in a child capped at 1 GiB of address space, so a
+    # grid allocated before the check would end in MemoryError, not exit 3
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from nvisc.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(nvisc.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args, "--config", str(config_path),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert f"work limit of {psb.MAX_GRID_NODES} nodes" in proc.stderr
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 

@@ -133,3 +133,17 @@ def test_chain_matches_golden(name, tmp_path):
             compare_csv(new, ref, where)
         else:
             compare_text(new, ref, where)
+
+
+def test_shipped_data_is_reproducible(tmp_path):
+    """scripts/make_reference_data.py rewrites src/nvisc/data byte for byte."""
+    spec = importlib.util.spec_from_file_location(
+        "make_reference_data", ROOT / "scripts" / "make_reference_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out", str(tmp_path)]) == 0
+    data = ROOT / "src" / "nvisc" / "data"
+    shipped = sorted(p.name for p in data.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from nvisc.gridfn import GridFunction, integrate
-from nvisc.psb import PsbModel
+from nvisc.inference import lowT_error_map
+from nvisc.psb import PsbModel, thermal_occupation
 from nvisc.rates import (
+    RATE_STEP,
     HighTempParams,
     LevelSpacings,
     PhononCoupling,
     RateResult,
     SpinOrbitParams,
+    _assisted_sweep,
+    _lattice_step,
     e12_a1_ratio,
     gamma_a1,
     gamma_e12_finiteT,
@@ -22,7 +26,7 @@ from nvisc.rates import (
     isc_average,
     lifetime,
 )
-from nvisc.units import MEV_TO_MHZ, rate_mev_to_mhz
+from nvisc.units import MEV_TO_MHZ, rate_mev_to_mhz, thermal_energy
 
 
 def smooth_density(step=0.25, span=200.0):
@@ -205,6 +209,205 @@ def test_finiteT_grows_when_warm(so, pc, model, ls):
     cold = gamma_e12_finiteT(so, pc, model, ls, 0.0).value_mhz
     warm = gamma_e12_finiteT(so, pc, model, ls, 150.0).value_mhz
     assert warm > cold
+
+
+# ---------------------------------------------------------------------------
+# sweep kernel against the per-node integrals it replaced
+
+
+def _assisted_integral(f, delta, omega_cut, delta_prime, include_singlet_path,
+                       step=RATE_STEP):
+    """Reference: the zero-temperature integral of one gap, sampled on its
+    own grid (the per-node code before the sweep kernel)."""
+    upper = min(delta, omega_cut)
+    if upper <= 0:
+        return 0.0
+    n = max(2, int(math.ceil(upper / step)) + 1)
+    om = np.linspace(0.0, upper, n)
+    w = om.copy()
+    if include_singlet_path and math.isfinite(delta_prime):
+        w = om * (1.0 - 2.0 * om / (delta + delta_prime)) ** 2
+    vals = w * f.sample(delta - om)
+    return float(np.trapezoid(vals, om))
+
+
+def _spectral_reference(so, pc, psb, ls, temperature_k, step=RATE_STEP,
+                        branch="both"):
+    """Reference: the finite-T spectral density of one gap, sampled branch
+    by branch (the per-node code before the sweep kernel)."""
+    f_t = psb.calibrated_overlap(temperature_k)
+    upper = pc.omega_mev
+    n = max(2, int(math.ceil(upper / step)) + 1)
+    om = np.linspace(0.0, upper, n)
+    h = om[1] - om[0]
+    kt = thermal_energy(temperature_k)
+    vals = np.zeros(n)
+    if kt > 0.0:
+        occ = thermal_occupation(om[1:], temperature_k)
+        if branch in ("both", "emission"):
+            vals[1:] += om[1:] * (occ + 1.0) * f_t.sample(ls.delta - om[1:])
+            vals[0] += kt * f_t.sample(ls.delta)
+        if branch in ("both", "absorption"):
+            vals[1:] += om[1:] * occ * f_t.sample(ls.delta + om[1:])
+            vals[0] += kt * f_t.sample(ls.delta)
+    elif branch in ("both", "emission"):
+        vals[1:] = om[1:] * f_t.sample(ls.delta - om[1:])
+    lp = so.lambda_perp
+    coef = 8.0 * lp * lp * pc.eta_internal * MEV_TO_MHZ
+    return GridFunction(0.0, h, coef * vals)
+
+
+def _reference_rates(so, pc, model, ls, temperature_k, axis, grid,
+                     include_singlet_path):
+    """Per-node cold and warm assisted integrals over a gap or cutoff sweep,
+    raising like the per-node gamma_e12_lowT where F(Delta) = 0."""
+    f0 = model.calibrated_overlap(0.0)
+    lp = so.lambda_perp
+    coef = 8.0 * lp * lp * pc.eta_internal * MEV_TO_MHZ
+    cold, warm = [], []
+    for x in grid:
+        if axis == "delta":
+            ls_i, pc_i = LevelSpacings(float(x), ls.delta_prime), pc
+        else:
+            ls_i, pc_i = ls, pc.with_omega(float(x))
+        if f0.sample(ls_i.delta) <= 0.0:
+            raise ValueError(
+                f"F(Delta) = 0 at Delta = {ls_i.delta} meV; use the finite-T "
+                "form or a gap inside the sideband support")
+        cold.append(_assisted_integral(f0, ls_i.delta, pc_i.omega_mev,
+                                       ls_i.delta_prime, include_singlet_path))
+        warm.append(integrate(_spectral_reference(so, pc_i, model, ls_i,
+                                                  temperature_k)) / coef)
+    return np.array(cold), np.array(warm)
+
+
+def _kernel_rates(pc, model, ls, temperature_k, axis, grid, step,
+                  include_singlet_path):
+    f0 = model.calibrated_overlap(0.0)
+    f_t = model.calibrated_overlap(temperature_k)
+    h = _lattice_step(step)
+    dp = ls.delta_prime if include_singlet_path else math.inf
+    if axis == "delta":
+        cold = _assisted_sweep(f0, grid, np.minimum(grid, pc.omega_mev), 0.0,
+                               h, dp)
+        warm = _assisted_sweep(f_t, grid, pc.omega_mev, temperature_k, h)
+    else:
+        cold = _assisted_sweep(f0, ls.delta, np.minimum(grid, ls.delta), 0.0,
+                               h, dp)
+        warm = _assisted_sweep(f_t, ls.delta, grid, temperature_k, h)
+    return cold, warm
+
+
+# axis, lo, hi, step: both error-map defaults, a gap sweep reaching below
+# the 85 meV cutoff, and steps that divide neither 0.5 nor 5 meV
+SWEEPS = {
+    "delta": ("delta", 300.0, 450.0, 5.0),
+    "omega": ("omega", 60.0, 110.0, 5.0),
+    "delta-below-cutoff": ("delta", 20.0, 150.0, 5.0),
+    "delta-step-0.37": ("delta", 300.0, 340.0, 0.37),
+    "omega-step-7.3": ("omega", 60.0, 110.0, 7.3),
+}
+
+
+@pytest.mark.parametrize("singlet_path", [False, True],
+                         ids=["plain", "interference"])
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+@pytest.mark.parametrize("temperature_k", [0.0, 5.0, 48.6, 300.0, 2000.0])
+def test_sweep_kernel_matches_per_node_reference(so, pc, model, ls,
+                                                 temperature_k, sweep,
+                                                 singlet_path):
+    axis, lo, hi, step = SWEEPS[sweep]
+    grid = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
+    cold_ref, warm_ref = _reference_rates(so, pc, model, ls, temperature_k,
+                                          axis, grid, singlet_path)
+    cold, warm = _kernel_rates(pc, model, ls, temperature_k, axis, grid, step,
+                               singlet_path)
+    np.testing.assert_allclose(cold, cold_ref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(warm, warm_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+@pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0])
+def test_error_map_matches_per_node_reference(so, pc, model, ls,
+                                              temperature_k, sweep):
+    axis, lo, hi, step = SWEEPS[sweep]
+    errs = lowT_error_map(so, pc, model, ls, temperature_k, axis=axis, lo=lo,
+                          hi=hi, step=step)
+    cold, warm = _reference_rates(so, pc, model, ls, temperature_k, axis,
+                                  errs.grid, False)
+    assert errs.size == cold.size
+    np.testing.assert_allclose(errs.values, np.abs(warm - cold) / cold,
+                               rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["delta", "omega"])
+def test_error_map_rejects_gap_outside_support_like_reference(so, pc, model,
+                                                              ls, axis):
+    # the test overlap vanishes above its 4600 meV support
+    if axis == "delta":
+        ls_out, (lo, hi, step) = ls, (4400.0, 6000.0, 100.0)
+    else:
+        ls_out, (lo, hi, step) = LevelSpacings(6000.0), (60.0, 110.0, 25.0)
+    grid = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
+    with pytest.raises(ValueError) as ref:
+        _reference_rates(so, pc, model, ls_out, 5.0, axis, grid, False)
+    with pytest.raises(ValueError) as new:
+        lowT_error_map(so, pc, model, ls_out, 5.0, axis=axis, lo=lo, hi=hi,
+                       step=step)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("temperature_k", [0.0, 300.0])
+def test_cutoff_off_the_lattice_ends_with_a_partial_cell(model, ls,
+                                                         temperature_k):
+    # the integrand on the 0.01 meV lattice, linear in between, integrated
+    # exactly up to a cutoff 0.4 of a cell past node 8500
+    f_t = model.calibrated_overlap(temperature_k)
+    h, cut = 0.01, 85.004
+    om = h * np.arange(8502)
+    em, ab = om.copy(), np.zeros_like(om)
+    if temperature_k > 0.0:
+        occ = thermal_occupation(om[1:], temperature_k)
+        em[1:], ab[1:] = om[1:] * (occ + 1.0), om[1:] * occ
+        em[0] = ab[0] = thermal_energy(temperature_k)
+    g = em * f_t.sample(ls.delta - om) + ab * f_t.sample(ls.delta + om)
+    nodes = np.append(om[:8501], cut)
+    exact = np.trapezoid(np.append(g[:8501], np.interp(cut, om, g)), nodes)
+    gap_row = _assisted_sweep(f_t, ls.delta, cut, temperature_k, h)
+    swept = _assisted_sweep(f_t, ls.delta, [60.0, cut], temperature_k, h)
+    assert gap_row[0] == pytest.approx(exact, rel=1e-12)
+    assert swept[1] == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("singlet_path", [False, True])
+@pytest.mark.parametrize("delta", [20.0, 84.995, 392.0, 430.3])
+def test_one_row_rates_match_reference(so, pc, model, f0, delta,
+                                       singlet_path):
+    ls_d = LevelSpacings(delta, 1190.0)
+    ref = _assisted_integral(f0, delta, pc.omega_mev, 1190.0, singlet_path)
+    fd = f0.sample(delta)
+    assert e12_a1_ratio(pc, f0, ls_d, singlet_path) == pytest.approx(
+        (2.0 / math.pi) * pc.eta_internal * ref / fd, rel=1e-12)
+    lp = so.lambda_perp
+    assert gamma_e12_lowT(so, pc, f0, ls_d, singlet_path).value_mhz == \
+        pytest.approx(rate_mev_to_mhz(8.0 * lp * lp * pc.eta_internal * ref),
+                      rel=1e-12)
+
+
+@pytest.mark.parametrize("step", [RATE_STEP, 0.037, 1.0])
+@pytest.mark.parametrize("branch", ["both", "emission", "absorption"])
+@pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0])
+def test_spectral_matches_reference(so, pc, model, ls, temperature_k, branch,
+                                    step):
+    new = gamma_e12_spectral(so, pc, model, ls, temperature_k, step, branch)
+    ref = _spectral_reference(so, pc, model, ls, temperature_k, step, branch)
+    assert new.step == ref.step and new.size == ref.size
+    np.testing.assert_allclose(new.values, ref.values, rtol=1e-12,
+                               atol=1e-15 * float(np.max(np.abs(ref.values))))
+    if branch == "both":
+        assert gamma_e12_finiteT(so, pc, model, ls, temperature_k,
+                                 step).value_mhz == pytest.approx(
+            integrate(ref), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
