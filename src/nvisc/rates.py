@@ -317,7 +317,9 @@ def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
         weights[:, n::-1] = trap * em
         if warm:
             weights[:, n:] += trap * ab
-        out[a:b] = sum(coef[a:b, p] * (rows[a:b] @ weights[p])
+        # einsum reads the overlapping rows in place; matmul on this view
+        # takes a slow path (8 ms for one 17001-node row)
+        out[a:b] = sum(coef[a:b, p] * np.einsum("ij,j->i", rows[a:b], weights[p])
                        for p in range(em.shape[0]))
     return out
 
