@@ -323,10 +323,11 @@ def cmd_rate_e12(cfg: RunConfig, args, out: Path) -> list[str]:
     so, pc, ls = cfg.spin_orbit(), cfg.phonon_coupling(), cfg.level_spacings()
     f0 = model.calibrated_overlap(0.0)
     t = cfg["temperature_k"]
+    f_t = model.calibrated_overlap(t)
     cold_plain = rates.gamma_e12_lowT(so, pc, f0, ls)
     cold_corr = rates.gamma_e12_lowT(so, pc, f0, ls, include_singlet_path=True)
-    warm = rates.gamma_e12_finiteT(so, pc, model, ls, t)
-    spec = rates.gamma_e12_spectral(so, pc, model, ls, t,
+    warm = rates.gamma_e12_finiteT(so, pc, f_t, ls, t)
+    spec = rates.gamma_e12_spectral(so, pc, f_t, ls, t,
                                     step=args.grid_step or rates.RATE_STEP)
     write_csv(spec, out / "rate_e12_spectral.csv",
               f"assisted-rate spectral density at T = {t:g} K",
@@ -514,8 +515,8 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
             f"{args.sweep_command!r}")
     if args.axis != "T":
         raise ConfigError(f"sweep supports --axis T, got {args.axis!r}")
-    if args.step_value <= 0 or args.to_value < args.from_value:
-        raise ConfigError("sweep needs --from <= --to and --step > 0")
+    if args.to_value < args.from_value:
+        raise ConfigError("sweep needs --from <= --to")
     if args.from_value < 0.0:
         raise ConfigError(f"sweep --from must be >= 0 K, got {args.from_value:g}")
     span = (args.to_value - args.from_value) / args.step_value
@@ -556,13 +557,32 @@ _COMMANDS = {
 # entry point
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite number (exit 2 naming the flag otherwise)."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    x = _finite(text)
+    if x <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True,
                         help="config file path, or 'default' for the "
                              "packaged example configuration")
     common.add_argument("--out", default="./out", help="output directory")
-    common.add_argument("--grid-step", type=float, default=None,
+    common.add_argument("--grid-step", type=_positive, default=None,
                         metavar="MEV",
                         help="override the sweep/spectral grid step in meV")
     common.add_argument("--quiet", action="store_true",
@@ -579,11 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", parents=[common])
     sw.add_argument("sweep_command", help="command to sweep (only: lifetime)")
     sw.add_argument("--axis", default="T", help="sweep axis (only: T)")
-    sw.add_argument("--from", dest="from_value", type=float, default=300.0,
+    sw.add_argument("--from", dest="from_value", type=_finite, default=300.0,
                     help="sweep start")
-    sw.add_argument("--to", dest="to_value", type=float, default=700.0,
+    sw.add_argument("--to", dest="to_value", type=_finite, default=700.0,
                     help="sweep end")
-    sw.add_argument("--step", dest="step_value", type=float, default=25.0,
+    sw.add_argument("--step", dest="step_value", type=_positive, default=25.0,
                     help="sweep step")
     return ap
 

@@ -7,10 +7,8 @@ broadened overlaps and rate integrands.  Samples live on a uniform grid
 linear between nodes and identically zero outside its support.
 
 Quadrature is trapezoidal, which is exact for that piecewise-linear
-interpretation.  Discrete convolution is scaled by the grid step so that
-``integrate(convolve(a, b)) == integrate(a) * integrate(b)`` holds to
-rounding for functions that decay to zero at their support edges (all
-physical densities here do).
+interpretation.  Convolutions are not built here: the sideband series is
+a closed form in ``psb``.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ __all__ = [
     "MeasuredBand",
     "IntervalSet",
     "integrate",
-    "convolve",
-    "resample",
     "band_intersections",
     "FormatError",
     "parse_number",
@@ -139,35 +135,6 @@ def integrate(g: GridFunction, lo: float | None = None, hi: float | None = None)
     return float(np.trapezoid(g.sample(pts), pts))
 
 
-def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
-    """Discrete linear convolution scaled by the grid step.
-
-    Both operands must share the same step (resample first otherwise);
-    the output support is exactly the sum of the input supports.
-    """
-    if abs(a.step - b.step) > _STEP_RTOL * a.step:
-        raise ValueError(
-            f"convolve needs equal grid steps, got {a.step} and {b.step}; "
-            "resample one operand first"
-        )
-    vals = np.convolve(a.values, b.values) * a.step
-    return GridFunction(a.omega_min + b.omega_min, a.step, vals)
-
-
-def resample(g: GridFunction, step: float, omega_min: float | None = None,
-             omega_max: float | None = None) -> GridFunction:
-    """Linear resampling onto a new uniform grid (0 outside the support)."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    lo = g.omega_min if omega_min is None else omega_min
-    hi = g.omega_max if omega_max is None else omega_max
-    n = int(np.floor((hi - lo) / step + _STEP_RTOL)) + 1
-    if n < 2:
-        raise ValueError("resampled grid needs >= 2 nodes")
-    xs = lo + step * np.arange(n)
-    return GridFunction(lo, step, g.sample(xs))
-
-
 def crop(g: GridFunction, lo: float, hi: float) -> GridFunction:
     """Restrict to grid nodes inside [lo, hi] (node-aligned, no interpolation)."""
     i0 = max(0, int(np.ceil((lo - g.omega_min) / g.step - _STEP_RTOL)))
@@ -229,12 +196,6 @@ class IntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    def total_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.intervals)
 
     def clip_below(self, floor: float) -> "IntervalSet":
         """Drop all interval content below ``floor`` (pure post-filter)."""

@@ -28,6 +28,8 @@ from .rates import (
     RateResult,
     SpinOrbitParams,
     _assisted_sweep,
+    _band,
+    _direct_coef,
     _lattice_step,
     _require_overlap,
     gamma_a1,
@@ -37,7 +39,7 @@ from .rates import (
     isc_average,
     lifetime,
 )
-from .units import rate_mev_to_mhz, thermal_energy
+from .units import thermal_energy
 
 __all__ = [
     "LifetimeSeries",
@@ -128,17 +130,10 @@ def infer_delta(so: SpinOrbitParams, f: GridFunction, target: MeasuredBand,
     n = int(math.floor((hi - lo) / step)) + 1
     if n < 2:
         return IntervalSet.empty()
-    grid = lo + step * np.arange(n)
-    vals = f.sample(grid)
-
-    def curve(ratio: float) -> GridFunction:
-        lp = so.lambda_par * ratio
-        return GridFunction(
-            lo, step, rate_mev_to_mhz(4.0 * math.pi * lp * lp) * vals)
-
-    found = band_intersections(curve(so.ratio_band[0]),
-                               curve(so.ratio_band[1]), target)
-    return found.clip_below(exclusion_floor)
+    vals = f.sample(lo + step * np.arange(n))
+    lower, upper = (GridFunction(lo, step, c * vals)
+                    for c in _band(_direct_coef(so), so))
+    return band_intersections(lower, upper, target).clip_below(exclusion_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +145,7 @@ def _cumulative_ratio(pc_eta_internal: float, f: GridFunction, delta: float,
                       omega_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Monotone cutoff -> ratio curve: a cutoff sweep of the assisted
     integral over the OMEGA_GRID_STEP nodes up to min(omega_max, delta)."""
-    fd = f.sample(delta)
-    if fd <= 0.0:
-        raise ValueError(
-            f"F(Delta) = 0 at Delta = {delta} meV; ratio is undefined")
+    fd = _require_overlap(f, delta)
     h = OMEGA_GRID_STEP
     om = h * np.arange(int(math.ceil(min(omega_max, delta) / h)) + 1)
     cum = _assisted_sweep(f, delta, om, 0.0, h,
@@ -386,13 +378,6 @@ class LifetimeCurves:
         return zip(self.temperatures_k, self.spin_classes, self.epsilons,
                    self.taus_ns)
 
-    def select(self, spin_class: str, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        keep = [i for i in range(len(self))
-                if self.spin_classes[i] == spin_class
-                and abs(self.epsilons[i] - epsilon) < 1e-12]
-        return (np.array([self.temperatures_k[i] for i in keep]),
-                np.array([self.taus_ns[i] for i in keep]))
-
 
 def lifetime_curves(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
                     ls: LevelSpacings, g_rad: RateResult,
@@ -404,7 +389,7 @@ def lifetime_curves(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
     for t in np.atleast_1d(np.asarray(temperatures, dtype=float)):
         f_t = psb.calibrated_overlap(float(t))
         g_a1 = gamma_a1(so, f_t, ls.delta)
-        g_e12 = gamma_e12_finiteT(so, pc, psb, ls, float(t))
+        g_e12 = gamma_e12_finiteT(so, pc, f_t, ls, float(t))
         g_isc = isc_average(g_a1, g_e12)
         g_therm = gamma_ht(ht, g_rad, float(t))
         for eps in epsilons:
@@ -434,8 +419,6 @@ def isc_sensitivity(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
     def nu_isc(delta: float) -> float:
         ls_d = LevelSpacings(delta, ls.delta_prime)
         g_a1 = gamma_a1(so, f0, delta)
-        if g_a1.value_mhz == 0.0:
-            raise ValueError(f"overlap vanishes at {delta} meV")
         g_e12 = gamma_e12_lowT(so, pc, f0, ls_d, include_singlet_path)
         return isc_average(g_a1, g_e12).value_mhz
 

@@ -187,25 +187,17 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _poisson_sideband(f1: GridFunction, s: float,
-                      crop_len: int | None = None) -> GridFunction:
+def _poisson_sideband(f1: GridFunction, s: float) -> GridFunction:
     """e^{-s} sum_{i>=1} (s^i/i!) F_i on [i_max a, i_max b] by one real FFT
     (see the module docstring).  h F_1 sits on a circular grid at index
-    round(omega/h) mod N.  ``crop_len`` instead returns the first crop_len
-    nodes (support from 0, used by the deconvolution verifier).
+    round(omega/h) mod N.
     """
     h = f1.step
     a = f1.omega_min
     n1 = f1.size
     i_max = poisson_i_max(s)
     span = (n1 - 1) * i_max + 1
-    if crop_len is not None:
-        if abs(a) > 1e-12:
-            raise ValueError("cropped sideband assumes support from 0")
-        size, start, first = crop_len, 0, 0.0
-    else:
-        size, start, first = span, i_max * round(a / h), i_max * a
-    n_fft = _fft_length(max(span, size))
+    n_fft = _fft_length(span)
     if n_fft > MAX_SIDEBAND_NODES:
         raise ArithmeticError(
             f"sideband at S = {s:.6g} needs a {n_fft}-node FFT, above the "
@@ -215,14 +207,14 @@ def _poisson_sideband(f1: GridFunction, s: float,
     # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow
     spec = np.exp(s * np.fft.rfft(ring) - s) - math.exp(-s)
     full = np.fft.irfft(spec, n_fft) / h
-    vals = full[(start + np.arange(size)) % n_fft]
+    vals = full[(i_max * round(a / h) + np.arange(span)) % n_fft]
     if np.min(vals) < -1e-12 * float(np.max(vals)):
         raise ArithmeticError(
             f"closed-form sideband has negative samples down to "
             f"{np.min(vals):.3e}: FFT grid aliasing")
     # the series is non-negative; what remains below 0 is FFT round-off
     np.clip(vals, 0.0, None, out=vals)
-    return GridFunction(first, h, vals)
+    return GridFunction(i_max * a, h, vals)
 
 
 def forward_sideband(f: GridFunction, s0: float) -> GridFunction:
@@ -232,6 +224,14 @@ def forward_sideband(f: GridFunction, s0: float) -> GridFunction:
     if mass <= 0:
         raise ValueError("one-phonon density must have positive mass")
     return _poisson_sideband(f.scaled(1.0 / mass), s0)
+
+
+def _table_residual(f1: GridFunction, s0: float, table: GridFunction) -> float:
+    """L1 distance, over the grid of ``table``, between the table and the
+    forward series of the one-phonon density f1."""
+    rec = forward_sideband(f1, s0)
+    return float(np.trapezoid(np.abs(rec.sample(table.grid) - table.values),
+                              dx=table.step))
 
 
 def _marching_solve(target: np.ndarray, h: float, s0: float,
@@ -281,7 +281,8 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     power-series exponential recurrence; a node that comes out negative
     (noise) is clipped to 0, and later nodes see the clipped density.
     The density is renormalized to unit mass and checked by one forward
-    evaluation of the series.  An L1 residual on the input window of
+    evaluation of the series on the table grid, the distance that
+    PsbModel.roundtrip_residual reports.  An L1 residual of
     ``tol`` or more (noise, or a table no non-negative density
     reproduces) raises DeconvolutionError.  s0 above 700 raises
     ValueError: e^{s0} would overflow.
@@ -301,16 +302,14 @@ def extract_one_phonon(f0: GridFunction, s0: float, *,
     if mass0 <= 0:
         raise ValueError("sideband table must have positive mass")
     target = f0.values * ((1.0 - math.exp(-s0)) / mass0)
-    n_win = f0.size
-    n_cap = min(n_win, int(math.floor(support_cap / h + 1e-9)) + 1)
+    n_cap = min(f0.size, int(math.floor(support_cap / h + 1e-9)) + 1)
 
     f_vals = _marching_solve(target, h, s0, n_cap)
     f_mass = np.trapezoid(f_vals, dx=h)
     if f_mass <= 0:
         raise ValueError("sideband table vanishes on the one-phonon window")
     f = GridFunction(0.0, h, f_vals / f_mass)
-    fwd = _poisson_sideband(f, s0, crop_len=n_win)
-    residual = float(np.trapezoid(np.abs(target - fwd.values), dx=h))
+    residual = _table_residual(f, s0, GridFunction(0.0, h, target))
     if residual >= tol:
         raise DeconvolutionError(
             f"deconvolved density reproduces the table only to L1 residual "
@@ -432,7 +431,4 @@ class PsbModel:
 
     def roundtrip_residual(self) -> float:
         """L1 distance between the stored table and the reconvolved one."""
-        rec = forward_sideband(self.f1, self.s0)
-        xs = self.f0.grid
-        return float(np.trapezoid(np.abs(rec.sample(xs) - self.f0.values),
-                                  dx=self.f0.step))
+        return _table_residual(self.f1, self.s0, self.f0)

@@ -29,8 +29,11 @@ partial trapezoid cell.  A lattice or a gap sweep (rows x window) above
 psb.MAX_GRID_NODES nodes raises ArithmeticError before it is allocated.
 
 Everything internal is hbar = 1 and meV; results are reported as
-ordinary frequencies in MHz (Gamma / 2 pi).  RateResult bands are plain
-interval arithmetic over the quoted parameter extremes.
+ordinary frequencies in MHz (Gamma / 2 pi).  Every rate is proportional
+to lambda_perp^2, and the assisted ones to eta, so one rule (_band) gives
+each RateResult band: the value scaled to the quoted ratio and eta
+extremes.  Rates take the calibrated overlap at their temperature; the
+caller looks it up once.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gridfn import GridFunction
-from .psb import PsbModel, check_grid, thermal_occupation
+from .psb import check_grid, thermal_occupation
 from .units import (
-    MEV_TO_MHZ,
     eta_mhz_to_internal,
     ghz_to_mev,
     rate_mev_to_mhz,
@@ -98,9 +100,6 @@ class SpinOrbitParams:
     @property
     def lambda_perp(self) -> float:
         return self.lambda_par * self.ratio_perp
-
-    def lambda_perp_at(self, ratio: float) -> float:
-        return self.lambda_par * ratio
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,12 +162,6 @@ class RateResult:
             if not (lo <= self.value_mhz <= hi):
                 raise ValueError("band must contain the central value")
 
-    def scaled(self, factor: float) -> "RateResult":
-        band = None
-        if self.band_mhz is not None:
-            band = (self.band_mhz[0] * factor, self.band_mhz[1] * factor)
-        return RateResult(self.value_mhz * factor, band, self.note)
-
 
 @dataclasses.dataclass(frozen=True)
 class HighTempParams:
@@ -189,6 +182,45 @@ class HighTempParams:
 
 
 # ---------------------------------------------------------------------------
+# shared rules: the band, the direct prefactor, the F(Delta) = 0 guard
+
+
+def _band(value: float, so: SpinOrbitParams,
+          pc: PhononCoupling | None = None) -> tuple[float, float]:
+    """Band of a rate proportional to lambda_perp^2 (and to eta when
+    ``pc`` is given): value (ratio/ratio_perp)^2 (eta/eta_mid) at the low
+    and at the high ratio and eta extremes."""
+    rlo, rhi = so.ratio_band
+    eta, elo, ehi = 1.0, 1.0, 1.0
+    if pc is not None:
+        eta = pc.eta_mhz
+        elo, ehi = pc.eta_band_mhz or (eta, eta)
+    return (value * (rlo / so.ratio_perp) ** 2 * (elo / eta),
+            value * (rhi / so.ratio_perp) ** 2 * (ehi / eta))
+
+
+def _direct_coef(so: SpinOrbitParams) -> float:
+    """4 pi lambda_perp^2 in MHz per meV^-1: the direct rate per unit
+    overlap F(Delta)."""
+    lp = so.lambda_perp
+    return rate_mev_to_mhz(4.0 * math.pi * lp * lp)
+
+
+def _require_overlap(f: GridFunction, deltas):
+    """F(Delta) at ``deltas``, refusing any gap where it vanishes: the
+    assisted-to-direct ratio is undefined there, and the zero-temperature
+    rate keeps the ratio contract."""
+    fd = f.sample(deltas)
+    bad = np.atleast_1d(deltas)[np.atleast_1d(fd) <= 0.0]
+    if bad.size:
+        raise ValueError(
+            f"F(Delta) = 0 at Delta = {float(bad[0])} meV, where the rate "
+            "ratio is undefined; use the finite-T form or a gap inside the "
+            "sideband support")
+    return fd
+
+
+# ---------------------------------------------------------------------------
 # direct (first-order) crossing
 
 
@@ -201,16 +233,9 @@ def gamma_a1(so: SpinOrbitParams, f: GridFunction, delta_mev: float) -> RateResu
     """
     if delta_mev <= 0:
         raise ValueError("delta must be > 0")
-    fval = f.sample(delta_mev)
-    if fval <= 0.0:
-        return RateResult(0.0, (0.0, 0.0), note="gap outside sideband support")
-
-    def rate(ratio):
-        lp = so.lambda_perp_at(ratio)
-        return rate_mev_to_mhz(4.0 * math.pi * lp * lp * fval)
-
-    lo, hi = so.ratio_band
-    return RateResult(rate(so.ratio_perp), (rate(lo), rate(hi)))
+    value = _direct_coef(so) * max(0.0, f.sample(delta_mev))
+    note = "" if value > 0.0 else "gap outside sideband support"
+    return RateResult(value, _band(value, so), note)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +349,6 @@ def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
     return out
 
 
-def _require_overlap(f: GridFunction, deltas) -> None:
-    """Reject gaps where F(Delta) = 0: the zero-temperature rate keeps the
-    rate-ratio contract, and the ratio is undefined there."""
-    deltas = np.atleast_1d(deltas)
-    bad = deltas[f.sample(deltas) <= 0.0]
-    if bad.size:
-        raise ValueError(
-            f"F(Delta) = 0 at Delta = {float(bad[0])} meV; use the finite-T "
-            "form or a gap inside the sideband support")
-
-
 def _lowT_integral(f: GridFunction, pc: PhononCoupling, ls: LevelSpacings,
                    include_singlet_path: bool) -> float:
     """int_0^min(Delta, Omega) w(omega) F(Delta - omega) domega as a
@@ -351,12 +365,15 @@ def e12_a1_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings,
 
     Amplitude-calibration free: any overall factor on F cancels.
     """
-    fd = f.sample(ls.delta)
-    if fd <= 0.0:
-        raise ValueError(
-            f"F(Delta) = 0 at Delta = {ls.delta} meV; the ratio is undefined")
+    fd = _require_overlap(f, ls.delta)
     integral = _lowT_integral(f, pc, ls, include_singlet_path)
     return (2.0 / math.pi) * pc.eta_internal * integral / fd
+
+
+def _e12_coef(so: SpinOrbitParams, pc: PhononCoupling) -> float:
+    """8 lambda_perp^2 eta in MHz per meV^2 of the assisted integral."""
+    lp = so.lambda_perp
+    return rate_mev_to_mhz(8.0 * lp * lp * pc.eta_internal)
 
 
 def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
@@ -370,38 +387,23 @@ def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
     form is the ratio times the direct rate.
     """
     _require_overlap(f, ls.delta)
-    integral = _lowT_integral(f, pc, ls, include_singlet_path)
-
-    def rate(ratio, eta_mhz):
-        lp = so.lambda_perp_at(ratio)
-        return rate_mev_to_mhz(
-            8.0 * lp * lp * eta_mhz_to_internal(eta_mhz) * integral)
-
-    rlo, rhi = so.ratio_band
-    elo, ehi = pc.eta_band_mhz if pc.eta_band_mhz else (pc.eta_mhz, pc.eta_mhz)
-    return RateResult(rate(so.ratio_perp, pc.eta_mhz),
-                      (rate(rlo, elo), rate(rhi, ehi)))
-
-
-def _e12_coef(so: SpinOrbitParams, pc: PhononCoupling) -> float:
-    """8 lambda_perp^2 eta in MHz per meV^2 of the assisted integral."""
-    lp = so.lambda_perp
-    return 8.0 * lp * lp * pc.eta_internal * MEV_TO_MHZ
+    value = _e12_coef(so, pc) * _lowT_integral(f, pc, ls, include_singlet_path)
+    return RateResult(value, _band(value, so, pc))
 
 
 def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
-                       psb: PsbModel, ls: LevelSpacings,
+                       f_t: GridFunction, ls: LevelSpacings,
                        temperature_k: float, step: float = RATE_STEP,
                        branch: str = "both") -> GridFunction:
     """Spectral decomposition of the finite-T assisted rate (MHz/meV)
     over the phonon energy axis [0, Omega]; integrates to the rate.
+    ``f_t`` is the calibrated overlap at ``temperature_k``.
 
     The nodes are the rate lattice of gamma_e12_finiteT (the largest
     step <= ``step`` dividing Omega) and the values are the sweep
     kernel's weight row times the sampled overlap."""
     if branch not in ("both", "emission", "absorption"):
         raise ValueError("branch must be both, emission or absorption")
-    f_t = psb.calibrated_overlap(temperature_k)
     h = _lattice_step(pc.omega_mev, step)
     n = round(pc.omega_mev / h)
     samples = f_t.sample(ls.delta + h * np.arange(-n, n + 1))
@@ -415,22 +417,15 @@ def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
 
 
 def gamma_e12_finiteT(so: SpinOrbitParams, pc: PhononCoupling,
-                      psb: PsbModel, ls: LevelSpacings,
+                      f_t: GridFunction, ls: LevelSpacings,
                       temperature_k: float, step: float = RATE_STEP) -> RateResult:
     """Finite-temperature assisted crossing rate (MHz): the integral of
-    gamma_e12_spectral, with bands from the ratio and eta extremes."""
-    integral = _assisted_sweep(psb.calibrated_overlap(temperature_k),
-                               ls.delta, pc.omega_mev, temperature_k,
+    gamma_e12_spectral, with bands from the ratio and eta extremes.
+    ``f_t`` is the calibrated overlap at ``temperature_k``."""
+    integral = _assisted_sweep(f_t, ls.delta, pc.omega_mev, temperature_k,
                                _lattice_step(pc.omega_mev, step))[0]
     value = _e12_coef(so, pc) * float(integral)
-
-    def scale_to(ratio, eta_mhz):
-        return (ratio / so.ratio_perp) ** 2 * (eta_mhz / pc.eta_mhz)
-
-    rlo, rhi = so.ratio_band
-    elo, ehi = pc.eta_band_mhz if pc.eta_band_mhz else (pc.eta_mhz, pc.eta_mhz)
-    return RateResult(value, (value * scale_to(rlo, elo),
-                              value * scale_to(rhi, ehi)))
+    return RateResult(value, _band(value, so, pc))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def read_curves(path) -> LifetimeCurves:
     return LifetimeCurves(*map(tuple, read_table(path, 4, text_cols=(1,))))
 
 
+def shelf_curve(curves: LifetimeCurves):
+    """Temperatures and lifetimes of the ms0 rows at epsilon = 0."""
+    rows = [(t, tau) for t, cls, eps, tau in curves.rows()
+            if cls == "ms0" and eps == 0.0]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def config_with(config_path, tmp_path, key, value):
     """Copy of the test config with ``key = value`` as its last line."""
     lines = [ln for ln in config_path.read_text().splitlines()
@@ -143,7 +150,7 @@ def test_lowt_error_small_in_range(config_path, tmp_path):
 def test_lifetime_values(config_path, tmp_path):
     assert run(["lifetime", "--config", str(config_path)], tmp_path) == 0
     curves = read_curves(tmp_path / "lifetimes.csv")
-    temps, taus = curves.select("ms0", 0.0)
+    temps, taus = shelf_curve(curves)
     assert taus[0] == pytest.approx(12.06, abs=0.5)
 
 
@@ -168,7 +175,7 @@ def test_sweep_lifetime_rows(config_path, tmp_path):
     curves = read_curves(tmp_path / "lifetime_vs_T.csv")
     # one row per temperature per spin class per epsilon
     assert len(curves) == 5 * 2 * 3
-    temps, taus = curves.select("ms0", 0.0)
+    temps, taus = shelf_curve(curves)
     assert list(temps) == [300.0, 400.0, 500.0, 600.0, 700.0]
     assert taus[-1] == pytest.approx(7.0, abs=0.5)
     assert np.all(np.diff(taus) < 0)
@@ -400,6 +407,36 @@ def test_oversized_grid_exits_3_before_allocating(config_path, tmp_path, args):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert f"work limit of {psb.MAX_GRID_NODES} nodes" in proc.stderr
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+# flag values refused at parse time; each names its flag and exits 2
+BAD_FLAGS = {
+    "rate-e12-negative-step": ["rate-e12", "--grid-step", "-1"],
+    "rate-e12-zero-step": ["rate-e12", "--grid-step", "0"],
+    "rate-e12-nan-step": ["rate-e12", "--grid-step", "nan"],
+    "infer-delta-zero-step": ["infer-delta", "--grid-step", "0"],
+    "infer-delta-negative-step": ["infer-delta", "--grid-step", "-1"],
+    "lowt-error-zero-step": ["lowt-error", "--grid-step", "0"],
+    "mix-spectral-negative-step": ["mix-spectral", "--grid-step", "-1"],
+    "mix-spectral-zero-step": ["mix-spectral", "--grid-step", "0"],
+    "mix-spectral-inf-step": ["mix-spectral", "--grid-step", "inf"],
+    "sweep-infinite-to": ["sweep", "lifetime", "--to", "inf"],
+    "sweep-nan-from": ["sweep", "lifetime", "--from", "nan"],
+    "sweep-infinite-step": ["sweep", "lifetime", "--step", "inf"],
+    "sweep-zero-step": ["sweep", "lifetime", "--step", "0"],
+}
+
+
+@pytest.mark.parametrize("args", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_bad_flag_value_exits_2_naming_flag(config_path, tmp_path, capsys,
+                                            args):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*args, "--config", str(config_path), "--out",
+                  str(tmp_path / "out"), "--quiet"])
+    assert exit_info.value.code == 2
+    flag = next(a for a in reversed(args) if a.startswith("--"))
+    assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 

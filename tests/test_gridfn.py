@@ -11,12 +11,10 @@ from nvisc.gridfn import (
     IntervalSet,
     MeasuredBand,
     band_intersections,
-    convolve,
     crop,
     integrate,
     read_csv,
     read_table,
-    resample,
     write_csv,
     write_table,
 )
@@ -86,6 +84,19 @@ def test_integrate_empty_window():
 # -------------------------------------------------------------- convolve
 
 
+def convolve(a: GridFunction, b: GridFunction) -> GridFunction:
+    """Reference discrete linear convolution, scaled by the grid step so
+    that integrate(convolve(a, b)) == integrate(a) * integrate(b) for
+    functions vanishing at their support edges; the output support is the
+    sum of the input supports.  The closed-form sideband in nvisc.psb
+    replaces the series of these convolutions (see test_psb)."""
+    if abs(a.step - b.step) > 1e-9 * a.step:
+        raise ValueError(
+            f"convolve needs equal grid steps, got {a.step} and {b.step}")
+    vals = np.convolve(a.values, b.values) * a.step
+    return GridFunction(a.omega_min + b.omega_min, a.step, vals)
+
+
 def test_convolve_gaussians():
     # N(m1,s1) * N(m2,s2) -> amplitude-weighted gaussian at m1+m2, s^2 summed
     s1, s2 = 5.0, 7.0
@@ -136,16 +147,6 @@ def test_convolve_near_delta_identity():
     c = convolve(a, d)
     xs = np.arange(10.0, 90.0, 3.7)
     assert np.allclose(c.sample(xs), a.sample(xs), rtol=1e-4, atol=1e-8)
-
-
-# -------------------------------------------------------------- resample
-
-
-def test_resample_preserves_linear_functions():
-    xs = np.arange(0.0, 10.5, 0.5)
-    g = GridFunction(0.0, 0.5, 2.0 * xs + 1.0)
-    r = resample(g, 0.3)
-    assert np.allclose(r.values, 2.0 * r.grid + 1.0)
 
 
 def test_crop_keeps_nodes():
@@ -228,6 +229,10 @@ def test_read_table_text_column_and_spaces(tmp_path):
 # ------------------------------------------------- intervals and bands
 
 
+def covers(s: IntervalSet, x: float) -> bool:
+    return any(lo <= x <= hi for lo, hi in s)
+
+
 def test_measured_band_validation():
     MeasuredBand(16.0, 15.0, 17.0)
     with pytest.raises(ValueError):
@@ -237,9 +242,9 @@ def test_measured_band_validation():
 def test_interval_set_merging():
     s = IntervalSet.from_pairs([(5.0, 7.0), (1.0, 2.0), (6.5, 9.0)])
     assert s.intervals == ((1.0, 2.0), (5.0, 9.0))
-    assert s.contains(8.0)
-    assert not s.contains(3.0)
-    assert s.total_length() == pytest.approx(5.0)
+    assert covers(s, 8.0)
+    assert not covers(s, 3.0)
+    assert sum(hi - lo for lo, hi in s) == pytest.approx(5.0)
 
 
 def test_interval_clip_below():
@@ -292,9 +297,9 @@ def test_band_intersections_against_dense_scan():
     ok = (lo_f <= band.hi) & (up_f >= band.lo)
     for x, flag in zip(fine, ok):
         if flag:
-            assert hits.contains(x) or min(abs(x - e) for p in hits for e in p) < 2e-3
+            assert covers(hits, x) or min(abs(x - e) for p in hits for e in p) < 2e-3
         else:
-            assert not hits.contains(x) or min(abs(x - e) for p in hits for e in p) < 2e-3
+            assert not covers(hits, x) or min(abs(x - e) for p in hits for e in p) < 2e-3
 
 
 def test_band_intersections_rejects_crossed_curves():

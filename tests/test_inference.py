@@ -95,7 +95,7 @@ def test_infer_delta_round_trip_random(rng, so):
         found = infer_delta(so_pt, steep, MeasuredBand(rate, rate, rate),
                             exclusion_floor=0.0)
         assert not found.is_empty
-        if not found.contains(delta):
+        if not any(lo <= delta <= hi for lo, hi in found):
             gap = min(min(abs(delta - a), abs(delta - b)) for a, b in found)
             assert gap <= 1.0
         checked += 1
@@ -332,11 +332,27 @@ def test_lifetime_curves_composition(so, pc, model):
     t, eps, cls = 500.0, 1.0, "ms1"
     f_t = model.calibrated_overlap(t)
     g_isc = isc_average(gamma_a1(so, f_t, ls.delta),
-                        gamma_e12_finiteT(so, pc, model, ls, t))
+                        gamma_e12_finiteT(so, pc, f_t, ls, t))
     want = lifetime(g_rad, g_isc, gamma_ht(ht, g_rad, t), eps, cls)
     got = [tau for tt, cc, ee, tau in curves.rows()
            if tt == t and cc == cls and ee == eps]
     assert got == [pytest.approx(want, rel=1e-12)]
+
+
+def test_lifetime_curves_one_overlap_lookup_per_temperature(so, pc, model,
+                                                          monkeypatch):
+    lookups = []
+    lookup = PsbModel.calibrated_overlap
+
+    def counted(self, temperature_k=0.0):
+        lookups.append(temperature_k)
+        return lookup(self, temperature_k)
+
+    monkeypatch.setattr(PsbModel, "calibrated_overlap", counted)
+    temps = (0.0, 300.0, 500.0, 700.0)
+    lifetime_curves(so, pc, model, LevelSpacings(150.0, 1190.0),
+                    RateResult(13.2), HighTempParams(2000.0, 0.48), temps)
+    assert lookups == list(temps)
 
 
 def test_lifetime_curves_monotone_and_epsilon_order(so, pc, model):
@@ -346,11 +362,13 @@ def test_lifetime_curves_monotone_and_epsilon_order(so, pc, model):
     temps = np.linspace(300.0, 700.0, 9)
     curves = lifetime_curves(so, pc, model, ls, g_rad, ht, temps,
                              epsilons=(0.0, 1.0))
+    def split_pair(eps):
+        return np.array([tau for _, cls, e, tau in curves.rows()
+                         if cls == "ms1" and e == eps])
+
     for eps in (0.0, 1.0):
-        _, taus = curves.select("ms1", eps)
-        assert np.all(np.diff(taus) < 0.0)
-    _, flat = curves.select("ms1", 0.0)
-    _, coupled = curves.select("ms1", 1.0)
+        assert np.all(np.diff(split_pair(eps)) < 0.0)
+    flat, coupled = split_pair(0.0), split_pair(1.0)
     # the activated channel only touches the split pair through epsilon;
     # its 300 K value is ~2e-4 MHz, hence the loose low-end tolerance
     assert np.all(coupled[-3:] < flat[-3:])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvisc
-from nvisc.gridfn import GridFunction, convolve, integrate, read_csv
+from nvisc.gridfn import GridFunction, integrate, read_csv
 from nvisc.psb import (
     MAX_SIDEBAND_NODES,
     DeconvolutionError,
@@ -23,6 +23,7 @@ from nvisc.psb import (
     thermal_overlap,
 )
 from nvisc.units import K_B
+from test_gridfn import convolve
 
 DATA = Path(nvisc.__file__).parent / "data"
 
@@ -180,7 +181,7 @@ def test_forward_sideband_mass():
 
 
 def convolution_series(f1, s):
-    """Reference: explicit Poisson-weighted loop of gridfn.convolve terms
+    """Reference: explicit Poisson-weighted loop of discrete convolutions
     on the window [i_max a, i_max b] of the first i_max terms.  Terms up
     to 2 i_max are kept (cropped to the window), so the truncation tail
     does not mask a difference."""
@@ -305,6 +306,21 @@ def test_noisy_table_reports_first_residual(noise):
     with pytest.raises(DeconvolutionError) as ei:
         PsbModel.from_overlap(noisy, 3.49)
     assert 1e-5 <= ei.value.residual < 1e-4
+
+
+@pytest.mark.parametrize("noise", [3e-5, 1e-4])
+def test_verifier_residual_is_the_roundtrip_residual(noise):
+    # the verifier samples the forward series on the table grid, as
+    # roundtrip_residual does for a loaded model
+    table = read_csv(DATA / "psb_low_temperature.csv")
+    rng = np.random.default_rng(11)
+    noisy = GridFunction(table.omega_min, table.step, table.values * (
+        1.0 + noise * rng.standard_normal(table.size)))
+    with pytest.raises(DeconvolutionError) as ei:
+        PsbModel.from_overlap(noisy, 3.49)
+    loaded = PsbModel.from_overlap(noisy, 3.49, tol=1.0)
+    assert ei.value.residual == pytest.approx(loaded.roundtrip_residual(),
+                                              rel=1e-9)
 
 
 def _term_by_term_march(target, h, s0, n_cap, i_max):

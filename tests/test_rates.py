@@ -26,7 +26,12 @@ from nvisc.rates import (
     isc_average,
     lifetime,
 )
-from nvisc.units import MEV_TO_MHZ, rate_mev_to_mhz, thermal_energy
+from nvisc.units import (
+    MEV_TO_MHZ,
+    eta_mhz_to_internal,
+    rate_mev_to_mhz,
+    thermal_energy,
+)
 
 
 def smooth_density(step=0.25, span=200.0):
@@ -51,6 +56,11 @@ def model():
 @pytest.fixture(scope="module")
 def f0(model):
     return model.calibrated_overlap(0.0)
+
+
+@pytest.fixture(scope="module")
+def f5(model):
+    return model.calibrated_overlap(5.0)
 
 
 @pytest.fixture(scope="module")
@@ -167,47 +177,48 @@ def test_lowT_monotone_in_cutoff(so, pc, f0, ls):
 # assisted crossing, finite T
 
 
-def test_finiteT_zero_kelvin_limit(so, pc, model, f0, ls):
-    cold = gamma_e12_finiteT(so, pc, model, ls, 0.0).value_mhz
+def test_finiteT_zero_kelvin_limit(so, pc, f0, ls):
+    cold = gamma_e12_finiteT(so, pc, f0, ls, 0.0).value_mhz
     assert cold == pytest.approx(gamma_e12_lowT(so, pc, f0, ls).value_mhz,
                                  rel=1e-9)
 
 
-def test_spectral_integrates_to_rate(so, pc, model, ls):
-    spec = gamma_e12_spectral(so, pc, model, ls, 5.0)
+def test_spectral_integrates_to_rate(so, pc, f5, ls):
+    spec = gamma_e12_spectral(so, pc, f5, ls, 5.0)
     assert integrate(spec) == pytest.approx(
-        gamma_e12_finiteT(so, pc, model, ls, 5.0).value_mhz, rel=1e-12)
+        gamma_e12_finiteT(so, pc, f5, ls, 5.0).value_mhz, rel=1e-12)
 
 
-def test_spectral_absorption_frozen_at_zero_kelvin(so, pc, model, ls):
-    spec = gamma_e12_spectral(so, pc, model, ls, 0.0, branch="absorption")
+def test_spectral_absorption_frozen_at_zero_kelvin(so, pc, f0, ls):
+    spec = gamma_e12_spectral(so, pc, f0, ls, 0.0, branch="absorption")
     assert np.all(spec.values == 0.0)
 
 
-def test_spectral_branches_sum(so, pc, model, ls):
-    em = gamma_e12_spectral(so, pc, model, ls, 5.0, branch="emission")
-    ab = gamma_e12_spectral(so, pc, model, ls, 5.0, branch="absorption")
-    both = gamma_e12_spectral(so, pc, model, ls, 5.0, branch="both")
+def test_spectral_branches_sum(so, pc, f5, ls):
+    em = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="emission")
+    ab = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="absorption")
+    both = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="both")
     assert np.allclose(em.values + ab.values, both.values, rtol=1e-12,
                        atol=1e-15)
 
 
-def test_spectral_emission_dominates_cold(so, pc, model, ls):
-    em = integrate(gamma_e12_spectral(so, pc, model, ls, 5.0,
+def test_spectral_emission_dominates_cold(so, pc, f5, ls):
+    em = integrate(gamma_e12_spectral(so, pc, f5, ls, 5.0,
                                       branch="emission"))
-    ab = integrate(gamma_e12_spectral(so, pc, model, ls, 5.0,
+    ab = integrate(gamma_e12_spectral(so, pc, f5, ls, 5.0,
                                       branch="absorption"))
     assert em > 10.0 * ab
 
 
-def test_spectral_rejects_unknown_branch(so, pc, model, ls):
+def test_spectral_rejects_unknown_branch(so, pc, f5, ls):
     with pytest.raises(ValueError):
-        gamma_e12_spectral(so, pc, model, ls, 5.0, branch="updown")
+        gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="updown")
 
 
-def test_finiteT_grows_when_warm(so, pc, model, ls):
-    cold = gamma_e12_finiteT(so, pc, model, ls, 0.0).value_mhz
-    warm = gamma_e12_finiteT(so, pc, model, ls, 150.0).value_mhz
+def test_finiteT_grows_when_warm(so, pc, model, f0, ls):
+    cold = gamma_e12_finiteT(so, pc, f0, ls, 0.0).value_mhz
+    warm = gamma_e12_finiteT(so, pc, model.calibrated_overlap(150.0), ls,
+                             150.0).value_mhz
     assert warm > cold
 
 
@@ -272,8 +283,9 @@ def _reference_rates(so, pc, model, ls, temperature_k, axis, grid,
             ls_i, pc_i = ls, pc.with_omega(float(x))
         if f0.sample(ls_i.delta) <= 0.0:
             raise ValueError(
-                f"F(Delta) = 0 at Delta = {ls_i.delta} meV; use the finite-T "
-                "form or a gap inside the sideband support")
+                f"F(Delta) = 0 at Delta = {ls_i.delta} meV, where the rate "
+                "ratio is undefined; use the finite-T form or a gap inside "
+                "the sideband support")
         cold.append(_assisted_integral(f0, ls_i.delta, pc_i.omega_mev,
                                        ls_i.delta_prime, include_singlet_path))
         warm.append(integrate(_spectral_reference(so, pc_i, model, ls_i,
@@ -399,15 +411,83 @@ def test_one_row_rates_match_reference(so, pc, model, f0, delta,
 @pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0])
 def test_spectral_matches_reference(so, pc, model, ls, temperature_k, branch,
                                     step):
-    new = gamma_e12_spectral(so, pc, model, ls, temperature_k, step, branch)
+    f_t = model.calibrated_overlap(temperature_k)
+    new = gamma_e12_spectral(so, pc, f_t, ls, temperature_k, step, branch)
     ref = _spectral_reference(so, pc, model, ls, temperature_k, step, branch)
     assert new.step == ref.step and new.size == ref.size
     np.testing.assert_allclose(new.values, ref.values, rtol=1e-12,
                                atol=1e-15 * float(np.max(np.abs(ref.values))))
     if branch == "both":
-        assert gamma_e12_finiteT(so, pc, model, ls, temperature_k,
+        assert gamma_e12_finiteT(so, pc, f_t, ls, temperature_k,
                                  step).value_mhz == pytest.approx(
             integrate(ref), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one band rule against the per-rate closures it replaced
+
+
+def _a1_closure_band(so, f, delta):
+    """Reference: gamma_a1's old band closure, the direct rate at each
+    ratio extreme."""
+    fval = f.sample(delta)
+
+    def rate(ratio):
+        lp = so.lambda_par * ratio
+        return rate_mev_to_mhz(4.0 * math.pi * lp * lp * fval)
+
+    return tuple(rate(r) for r in so.ratio_band)
+
+
+def _lowT_closure_band(so, pc, f, ls, include_singlet_path):
+    """Reference: gamma_e12_lowT's old band closure, the assisted rate at
+    the (ratio, eta) extremes on the per-node integral."""
+    integral = _assisted_integral(f, ls.delta, pc.omega_mev, ls.delta_prime,
+                                  include_singlet_path)
+
+    def rate(ratio, eta_mhz):
+        lp = so.lambda_par * ratio
+        return rate_mev_to_mhz(
+            8.0 * lp * lp * eta_mhz_to_internal(eta_mhz) * integral)
+
+    etas = pc.eta_band_mhz if pc.eta_band_mhz else (pc.eta_mhz, pc.eta_mhz)
+    return tuple(rate(r, e) for r, e in zip(so.ratio_band, etas))
+
+
+# each public rate as rate(so, pc, overlap at T, ls, T)
+BANDED_RATES = {
+    "a1": lambda so, pc, f, ls, t: gamma_a1(so, f, ls.delta),
+    "lowT-plain": lambda so, pc, f, ls, t: gamma_e12_lowT(so, pc, f, ls),
+    "lowT-interference": lambda so, pc, f, ls, t: gamma_e12_lowT(
+        so, pc, f, ls, include_singlet_path=True),
+    "finiteT": lambda so, pc, f, ls, t: gamma_e12_finiteT(so, pc, f, ls, t),
+}
+
+
+@pytest.mark.parametrize("eta_band", [(41.6, 46.4), None],
+                         ids=["eta-band", "no-eta-band"])
+@pytest.mark.parametrize("rate", list(BANDED_RATES))
+def test_band_ends_are_the_rate_at_the_extremes(so, model, ls, rate,
+                                                eta_band):
+    pc = PhononCoupling(44.0, 85.0, eta_band)
+    t = 300.0 if rate == "finiteT" else 0.0
+    f = model.calibrated_overlap(t)
+    band = BANDED_RATES[rate](so, pc, f, ls, t).band_mhz
+    etas = eta_band or (pc.eta_mhz, pc.eta_mhz)
+    # the rate evaluated directly with its centre moved to each extreme
+    ends = tuple(
+        BANDED_RATES[rate](SpinOrbitParams(so.lambda_par, r, so.ratio_band),
+                           PhononCoupling(e, pc.omega_mev, eta_band),
+                           f, ls, t).value_mhz
+        for r, e in zip(so.ratio_band, etas))
+    assert band == pytest.approx(ends, rel=1e-12)
+    if rate == "a1":
+        assert band == pytest.approx(_a1_closure_band(so, f, ls.delta),
+                                     rel=1e-12)
+    elif rate != "finiteT":
+        assert band == pytest.approx(
+            _lowT_closure_band(so, pc, f, ls, rate == "lowT-interference"),
+            rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +584,9 @@ def test_rate_result_validation():
         RateResult(-1.0)
     with pytest.raises(ValueError):
         RateResult(5.0, (6.0, 7.0))
-    assert RateResult(5.0, (4.0, 6.0)).scaled(2.0).band_mhz == (8.0, 12.0)
+    assert RateResult(5.0, (4.0, 6.0)).band_mhz == (4.0, 6.0)
+    collapsed = RateResult(0.0, (0.0, 0.0), "gap outside sideband support")
+    assert collapsed.band_mhz == (0.0, 0.0) and collapsed.note
 
 
 def test_high_temp_params_validation():
