@@ -29,11 +29,11 @@ partial trapezoid cell.  A lattice or a gap sweep (rows x window) above
 psb.MAX_GRID_NODES nodes raises ArithmeticError before it is allocated.
 
 Everything internal is hbar = 1 and meV; results are reported as
-ordinary frequencies in MHz (Gamma / 2 pi).  Every rate is proportional
-to lambda_perp^2, and the assisted ones to eta, so one rule (_band) gives
-each RateResult band: the value scaled to the quoted ratio and eta
-extremes.  Rates take the calibrated overlap at their temperature; the
-caller looks it up once.
+ordinary frequencies in MHz (Gamma / 2 pi).  Every crossing rate is
+proportional to lambda_perp^2, and the assisted ones to eta, so one rule
+(_band) gives each crossing-rate band: the value scaled to the quoted
+ratio and eta extremes.  Crossing rates take the calibrated overlap at
+their temperature; the caller looks it up once.
 """
 
 from __future__ import annotations
