@@ -20,18 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from nvisc.gridfn import (GridFunction, MeasuredBand, band_intersections, crop, integrate,
-                          write_csv, write_table)
-from nvisc.psb import PsbModel, forward_sideband
-from nvisc.rates import (
-    LevelSpacings,
-    PhononCoupling,
-    SpinOrbitParams,
-    e12_a1_ratio,
-    gamma_a1,
-)
+from nvisc.gridfn import GridFunction, MeasuredBand, crop, integrate, write_csv, write_table
+from nvisc.inference import infer_delta, infer_omega, isc_sensitivity, low_delta_exclusion
 from nvisc.mixing import MixingParams, MixSeries, gamma_mix
+from nvisc.psb import PsbModel, forward_sideband
+from nvisc.rates import LevelSpacings, PhononCoupling, SpinOrbitParams, e12_a1_ratio, gamma_a1
 from nvisc.units import ghz_to_mev, thermal_energy
+
+try:  # scipy is in the test extra; only --tune needs it
+    from scipy.optimize import least_squares
+except ImportError:
+    least_squares = None
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "nvisc" / "data"
 
@@ -42,14 +41,15 @@ TABLE_MAX = 1200.0
 AMPLITUDE = 2.0 * math.pi
 
 ETA_MHZ = 44.0
-OMEGA_CUT = 85.0
 DELTA_PRIME = 1190.0
 TARGET = MeasuredBand(16.0, 15.4, 16.6)
-RATIO_BAND = (1.0, 1.4)
-RATIO_MID = 1.2
+RATIO_TARGET = MeasuredBand(0.50, 0.45, 0.55)
 GAMMA_RAD = 13.2
 HT_DELTA_E_EV = 0.48
 TAU_700_NS = 7.0
+
+SO = SpinOrbitParams.from_ghz(5.33, 1.2, (1.0, 1.4))
+PC = PhononCoupling(ETA_MHZ, 85.0)
 
 # one-phonon density: (weight, center meV, sigma meV) per component, plus
 # the low-energy onset scale; frozen output of the --tune optimizer
@@ -73,123 +73,61 @@ def one_phonon_density(weights, centers, sigmas, onset) -> GridFunction:
     return g.scaled(1.0 / integrate(g))
 
 
-def shape_overlap(shape) -> GridFunction:
-    """Unit-emission sideband (mass 1 - e^{-S0}) for a shape dict."""
-    f1 = one_phonon_density(**shape)
-    return forward_sideband(f1, S0)
-
-
-def a1_coef(ratio: float) -> float:
-    """MHz per unit of the 2*pi-calibrated overlap at the gap."""
-    so = SpinOrbitParams.from_ghz(5.33, RATIO_MID, RATIO_BAND)
-    lp = so.lambda_par * ratio
-    from nvisc.units import rate_mev_to_mhz
-
-    return rate_mev_to_mhz(4.0 * math.pi * lp * lp * AMPLITUDE)
-
-
-def feasibility_window() -> tuple[float, float]:
-    """Overlap values for which the predicted rate band intersects the
-    measured band (in the unit-emission normalization)."""
-    return TARGET.lo / a1_coef(RATIO_BAND[1]), TARGET.hi / a1_coef(RATIO_BAND[0])
-
-
 def cross_points(f: GridFunction, level: float, lo: float, hi: float):
     xs = np.arange(lo, hi + 0.125, 0.25)
     ys = f.sample(xs) - level
     out = []
     for i in range(len(xs) - 1):
         if ys[i] == 0.0 or ys[i] * ys[i + 1] < 0:
-            out.append(xs[i] + 0.25 * ys[i] / (ys[i] - ys[i + 1]))
+            out.append(float(xs[i] + 0.25 * ys[i] / (ys[i] - ys[i + 1])))
     return out
 
 
-def ratio_on(f: GridFunction, delta: float, omega: float) -> float:
-    pc = PhononCoupling(ETA_MHZ, omega)
-    return e12_a1_ratio(pc, f, LevelSpacings(delta, DELTA_PRIME),
-                        include_singlet_path=True)
-
-
-def omega_interval(f: GridFunction, deltas, r_lo=0.45, r_hi=0.55):
-    """Union over deltas of the Omega windows mapping the ratio band."""
-    los, his = [], []
-    om = np.arange(0.0, 150.0 + 0.125, 0.25)
-    for delta in deltas:
-        fd = f.sample(delta)
-        w = om * (1.0 - 2.0 * om / (delta + DELTA_PRIME)) ** 2
-        integrand = w * f.sample(delta - om)
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (integrand[1:] + integrand[:-1]) * 0.25)])
-        from nvisc.units import eta_mhz_to_internal
-
-        r = (2.0 / math.pi) * eta_mhz_to_internal(ETA_MHZ) * cum / fd
-        if r[-1] < r_hi:
-            return None
-        los.append(float(np.interp(r_lo, r, om)))
-        his.append(float(np.interp(r_hi, r, om)))
-    return min(los), max(his)
-
-
-def sensitivity(f: GridFunction, delta: float, h: float = 2.0) -> float:
-    def nu_isc(d):
-        nu_a1 = a1_coef(RATIO_MID) * f.sample(d)
-        return nu_a1 * (1.0 + 2.0 * ratio_on(f, d, OMEGA_CUT)) / 4.0
-
-    return (nu_isc(delta - h) - nu_isc(delta + h)) / (2.0 * h)
-
-
-def delta_intervals(f: GridFunction):
-    deltas = np.arange(20.0, 600.0 + 0.5, 1.0)
-    vals = f.sample(deltas)
-    lower = GridFunction(20.0, 1.0, a1_coef(RATIO_BAND[0]) * vals)
-    upper = GridFunction(20.0, 1.0, a1_coef(RATIO_BAND[1]) * vals)
-    return band_intersections(lower, upper, TARGET)
-
-
 def diagnostics(shape) -> dict:
-    f = shape_overlap(shape)
-    w_lo, w_hi = feasibility_window()
+    """Anchors of a shape, read from the package on the model the loader
+    builds from the shape's table; overlaps are in its calibrated units."""
+    model = PsbModel.from_one_phonon(one_phonon_density(**shape), S0, scale=AMPLITUDE)
+    f = model.calibrated_overlap(0.0)
+    ls = LevelSpacings(392.0, DELTA_PRIME)
+    a1 = gamma_a1(SO, f, ls.delta)
+    # overlap values at which the predicted rate band meets the measured band
+    band_per_overlap = np.array(a1.band_mhz) / f.sample(ls.delta)
+    w_lo, w_hi = TARGET.lo / band_per_overlap[1], TARGET.hi / band_per_overlap[0]
     plateau = np.arange(48.0, 340.0, 1.0)
     pvals = f.sample(plateau)
-    lo_cross = cross_points(f, w_lo, 25.0, 60.0)
-    hi_cross = cross_points(f, w_hi, 25.0, 60.0)
-    main_hi = cross_points(f, w_hi, 300.0, 400.0)
-    main_lo = cross_points(f, w_lo, 380.0, 500.0)
-    excl = max(ratio_on(f, d, d) for d in np.arange(24.0, 148.1, 4.0))
-    r_on = ratio_on(f, 392.0, OMEGA_CUT)
-    r_off = e12_a1_ratio(PhononCoupling(ETA_MHZ, OMEGA_CUT), f,
-                         LevelSpacings(392.0, DELTA_PRIME),
-                         include_singlet_path=False)
+    r_on = e12_a1_ratio(PC, f, ls, include_singlet_path=True)
+    r_off = e12_a1_ratio(PC, f, ls, include_singlet_path=False)
+    omega = infer_omega(SO, PC, model, ls, RATIO_TARGET,
+                        deltas=(344.0, 365.0, 392.0, 410.0, 430.0))
     return {
-        "window": (w_lo, w_hi),
-        "F43": float(f.sample(43.0)),
-        "F36": float(f.sample(36.0)),
-        "F30": float(f.sample(30.0)),
-        "low_cross_lo": lo_cross,
-        "low_cross_hi": hi_cross,
+        "window": (float(w_lo), float(w_hi)),
+        **{f"F{x:g}": float(f.sample(x)) for x in (43.0, 36.0, 30.0)},
+        "low_cross_lo": cross_points(f, w_lo, 25.0, 60.0),
+        "low_cross_hi": cross_points(f, w_hi, 25.0, 60.0),
         "plateau_min": float(pvals.min()),
         "plateau_argmin": float(plateau[int(np.argmin(pvals))]),
-        "F344": float(f.sample(344.0)),
-        "F392": float(f.sample(392.0)),
-        "F430": float(f.sample(430.0)),
-        "F465": float(f.sample(465.0)),
-        "main_cross_hi": main_hi,
-        "main_cross_lo": main_lo,
+        # the 4 meV plateau nodes the tuning objective holds above the window
+        "plateau_nodes": pvals[::4],
+        **{f"F{x:g}": float(f.sample(x)) for x in (344.0, 392.0, 430.0, 465.0)},
+        "main_cross_hi": cross_points(f, w_hi, 300.0, 400.0),
+        "main_cross_lo": cross_points(f, w_lo, 380.0, 500.0),
         "r_on_392": r_on,
         "r_off_392": r_off,
         "correction_pct": 100.0 * (1.0 - r_on / r_off),
-        "r_on_344": ratio_on(f, 344.0, OMEGA_CUT),
-        "r_on_430": ratio_on(f, 430.0, OMEGA_CUT),
-        "excl_max_ratio": excl,
-        "omega_interval": omega_interval(f, (344.0, 365.0, 392.0, 410.0, 430.0)),
-        "sens_392": sensitivity(f, 392.0),
-        "intervals": delta_intervals(f),
-        "nu_a1_392": a1_coef(RATIO_MID) * float(f.sample(392.0)),
+        "r_on_344": e12_a1_ratio(PC, f, LevelSpacings(344.0, DELTA_PRIME), include_singlet_path=True),
+        "r_on_430": e12_a1_ratio(PC, f, LevelSpacings(430.0, DELTA_PRIME), include_singlet_path=True),
+        "excl_max_ratio": low_delta_exclusion(PC, f, delta_prime=DELTA_PRIME),
+        "omega_interval": None if omega.is_empty else next(iter(omega)),
+        "sens_392": isc_sensitivity(SO, PC, model, ls),
+        "intervals": infer_delta(SO, f, TARGET, exclusion_floor=0.0),
+        "nu_a1_392": a1.value_mhz,
     }
 
 
 def print_diag(d):
     for k, v in d.items():
+        if k == "plateau_nodes":
+            continue
         if k == "intervals":
             print(f"  {k:>16}: {[(round(a, 1), round(b, 1)) for a, b in v]}")
         elif isinstance(v, tuple):
@@ -221,31 +159,27 @@ def unpack(x):
 
 
 def residuals(x):
-    shape = unpack(x)
-    f = shape_overlap(shape)
-    w_lo, w_hi = feasibility_window()
-    f_mid = math.sqrt(w_lo * w_hi)
-    r = []
-    # low-Delta rise through the feasibility window centered near 43
-    r.append((f.sample(43.0) / f_mid - 1.0) / 0.10)
-    r.append(max(0.0, f.sample(36.0) / (0.85 * w_lo) - 1.0) / 0.05)
-    r.append(max(0.0, f.sample(30.0) / (0.55 * w_lo) - 1.0) / 0.05)
+    d = diagnostics(unpack(x))
+    w_lo, w_hi = d["window"]
+    r = [
+        # low-Delta rise through the feasibility window centered near 43
+        (d["F43"] / math.sqrt(w_lo * w_hi) - 1.0) / 0.10,
+        max(0.0, d["F36"] / (0.85 * w_lo) - 1.0) / 0.05,
+        max(0.0, d["F30"] / (0.55 * w_lo) - 1.0) / 0.05,
+    ]
     # plateau safely above the window on [48, 340]
-    plateau = np.arange(48.0, 340.0, 4.0)
-    for v in f.sample(plateau):
-        r.append(max(0.0, 1.15 * w_hi / v - 1.0) / 0.04)
+    r.extend(np.maximum(0.0, 1.15 * w_hi / d["plateau_nodes"] - 1.0) / 0.04)
     # descending crossings at 344 and 430
-    r.append((f.sample(344.0) / w_hi - 1.0) / 0.01)
-    r.append((f.sample(430.0) / w_lo - 1.0) / 0.01)
-    r.append(max(0.0, f.sample(465.0) / (0.9 * w_lo) - 1.0) / 0.05)
+    r.append((d["F344"] / w_hi - 1.0) / 0.01)
+    r.append((d["F430"] / w_lo - 1.0) / 0.01)
+    r.append(max(0.0, d["F465"] / (0.9 * w_lo) - 1.0) / 0.05)
     # assisted-to-direct ratio anchor and low-Delta exclusion
-    r.append((ratio_on(f, 392.0, OMEGA_CUT) / 0.50 - 1.0) / 0.01)
-    excl = max(ratio_on(f, d, d) for d in np.arange(28.0, 148.1, 8.0))
-    r.append(max(0.0, excl / 0.42 - 1.0) / 0.02)
+    r.append((d["r_on_392"] / 0.50 - 1.0) / 0.01)
+    r.append(max(0.0, d["excl_max_ratio"] / 0.42 - 1.0) / 0.02)
     # keep the local slope at 392 steep enough for the sensitivity floor
-    r.append(max(0.0, 0.085 / sensitivity(f, 392.0) - 1.0) / 0.05)
+    r.append(max(0.0, 0.085 / d["sens_392"] - 1.0) / 0.05)
     # Omega interval anchored on the reported window
-    oi = omega_interval(f, (344.0, 392.0, 430.0))
+    oi = d["omega_interval"]
     if oi is None:
         r.extend([5.0, 5.0])
     else:
@@ -255,8 +189,6 @@ def residuals(x):
 
 
 def tune(shape):
-    from scipy.optimize import least_squares
-
     x0 = pack(shape)
     lb = np.concatenate([np.log([0.003] * 5), x0[5:10] - 18.0,
                          np.log([5.0] * 5), [10.0]])
@@ -279,7 +211,7 @@ def tune(shape):
 
 def write_psb_tables(shape, out: Path):
     out.mkdir(parents=True, exist_ok=True)
-    f0 = shape_overlap(shape)
+    f0 = forward_sideband(one_phonon_density(**shape), S0)
     table = crop(f0, 0.0, TABLE_MAX).scaled(AMPLITUDE)
     write_csv(
         table, out / "psb_low_temperature.csv",
@@ -295,8 +227,7 @@ def write_psb_tables(shape, out: Path):
         f"s0 = {S0}\n"
         "omega_mev = 200.0\n", encoding="utf-8")
 
-    syn = GridFunction(0.0, STEP, _synthetic_density())
-    syn = syn.scaled(1.0 / integrate(syn))
+    syn = one_phonon_density((0.55, 0.45), (40.0, 80.0), (10.0, 12.0), 15.0)
     f0_syn = crop(forward_sideband(syn, 1.2), 0.0, 600.0)
     write_csv(
         f0_syn, out / "psb_synthetic.csv",
@@ -308,16 +239,6 @@ def write_psb_tables(shape, out: Path):
         "s0 = 1.2\n"
         "omega_mev = 200.0\n", encoding="utf-8")
     return table
-
-
-def _synthetic_density():
-    xs = np.arange(0.0, F_SPAN + STEP / 2, STEP)
-    vals = (0.55 * np.exp(-0.5 * ((xs - 40.0) / 10.0) ** 2)
-            + 0.45 * np.exp(-0.5 * ((xs - 80.0) / 12.0) ** 2))
-    vals *= 1.0 - np.exp(-((xs / 15.0) ** 2))
-    vals *= 1.0 - np.exp(-(((F_SPAN - xs) / 12.0) ** 2))
-    vals[0] = vals[-1] = 0.0
-    return vals
 
 
 def ht_s_factor() -> float:
@@ -403,7 +324,6 @@ def verify_round_trip(out: Path):
     print(f"  round-trip residual: {model.roundtrip_residual():.3e}")
     print(f"  recovered amplitude scale: {model.scale:.6f}"
           f" (2*pi = {2 * math.pi:.6f})")
-    return model
 
 
 def main(argv=None):
@@ -416,6 +336,8 @@ def main(argv=None):
                     help="directory the tables are written to "
                          "(default: src/nvisc/data)")
     args = ap.parse_args(argv)
+    if args.tune and least_squares is None:
+        ap.error("--tune needs scipy")
 
     shape = SHAPE
     if args.tune:

@@ -80,6 +80,8 @@ _SCHEMA = {
     "mix_csv": (_PATH, False, None),
     "lifetime_csv": (_PATH, False, None),
 }
+# keys whose value (every number of a list) must be >= 0
+_NON_NEGATIVE = ("temperature_k", "epsilon_list")
 
 
 _ETA_BAND = ("eta_lo_mhz_per_mev3", "eta_hi_mhz_per_mev3")
@@ -199,14 +201,13 @@ def parse_config(text: str, base_dir: Path, source: str = "config") -> RunConfig
         kind = _SCHEMA[key][0]
         if kind == _FLOAT:
             values[key] = parse_number(val, where, f"'{key}'")
-            if key == "temperature_k" and values[key] < 0.0:
-                raise ConfigError(f"{where}: 'temperature_k' must be >= 0 K, "
-                                  f"got {val}")
         elif kind == _LIST:
             values[key] = tuple(parse_number(p, where, f"'{key}'")
                                 for p in val.split(",") if p.strip())
         else:
             values[key] = val
+        if key in _NON_NEGATIVE and np.any(np.asarray(values[key]) < 0.0):
+            raise ConfigError(f"{where}: '{key}' must be >= 0, got {val}")
     missing = [k for k, (_, req, _) in _SCHEMA.items()
                if req and k not in values]
     if missing:
@@ -327,8 +328,7 @@ def cmd_rate_e12(cfg: RunConfig, args, out: Path) -> list[str]:
     cold_plain = rates.gamma_e12_lowT(so, pc, f0, ls)
     cold_corr = rates.gamma_e12_lowT(so, pc, f0, ls, include_singlet_path=True)
     warm = rates.gamma_e12_finiteT(so, pc, f_t, ls, t)
-    spec = rates.gamma_e12_spectral(so, pc, f_t, ls, t,
-                                    step=args.grid_step or rates.RATE_STEP)
+    spec = rates.gamma_e12_spectral(so, pc, f_t, ls, t, step=args.grid_step)
     write_csv(spec, out / "rate_e12_spectral.csv",
               f"assisted-rate spectral density at T = {t:g} K",
               ("omega_meV", "rate_density_MHz_per_meV"))
@@ -397,9 +397,8 @@ def cmd_infer_delta(cfg: RunConfig, args, out: Path) -> list[str]:
     model = cfg.model()
     so, target = cfg.spin_orbit(), cfg.target_band()
     f0 = model.calibrated_overlap(0.0)
-    step = args.grid_step or 1.0
     raw = inference.infer_delta(so, f0, target, exclusion_floor=0.0,
-                                sweep=(20.0, 600.0, step))
+                                sweep=(20.0, 600.0, args.grid_step))
     found = raw.clip_below(cfg["exclusion_floor_mev"])
     write_table(out / "delta_intervals.csv", _INTERVAL_COLUMNS, found,
                 "gap intervals consistent with the measured direct rate")
@@ -440,11 +439,10 @@ def cmd_lowt_error(cfg: RunConfig, args, out: Path) -> list[str]:
     model = cfg.model()
     so, pc, ls = cfg.spin_orbit(), cfg.phonon_coupling(), cfg.level_spacings()
     t = cfg["temperature_k"]
-    step = args.grid_step or 5.0
     errs_d = inference.lowT_error_map(so, pc, model, ls, t, axis="delta",
-                                      lo=300.0, hi=450.0, step=step)
+                                      lo=300.0, hi=450.0, step=args.grid_step)
     errs_o = inference.lowT_error_map(so, pc, model, ls, t, axis="omega",
-                                      lo=60.0, hi=110.0, step=step)
+                                      lo=60.0, hi=110.0, step=args.grid_step)
     write_csv(errs_d, out / "lowt_error_vs_delta.csv",
               f"relative zero-temperature-limit error at T = {t:g} K",
               ("delta_meV", "relative_error"))
@@ -509,16 +507,8 @@ def cmd_sensitivity(cfg: RunConfig, args, out: Path) -> list[str]:
 
 
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> list[str]:
-    if args.sweep_command != "lifetime":
-        raise ConfigError(
-            f"sweep supports the 'lifetime' command, got "
-            f"{args.sweep_command!r}")
-    if args.axis != "T":
-        raise ConfigError(f"sweep supports --axis T, got {args.axis!r}")
     if args.to_value < args.from_value:
         raise ConfigError("sweep needs --from <= --to")
-    if args.from_value < 0.0:
-        raise ConfigError(f"sweep --from must be >= 0 K, got {args.from_value:g}")
     span = (args.to_value - args.from_value) / args.step_value
     psb.check_grid(span + 1, "the temperature sweep")
     n = int(math.floor(span + 1e-9))
@@ -557,23 +547,31 @@ _COMMANDS = {
 # entry point
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite number (exit 2 naming the flag otherwise)."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
+def _number(accept, wanted: str):
+    """argparse type: a finite number that ``accept`` passes (exit 2
+    naming the flag otherwise)."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (math.isfinite(x) and accept(x)):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return x
+    return parse
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite number > 0."""
-    x = _finite(text)
-    if x <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
-    return x
+_finite = _number(lambda x: True, "a finite number")
+_positive = _number(lambda x: x > 0.0, "a finite number > 0")
+_non_negative = _number(lambda x: x >= 0.0, "a finite number >= 0")
+
+# the commands that read --grid-step: (default, help) of each
+_GRID_STEP = {
+    "rate-e12": (rates.RATE_STEP, "spectral-file step in meV (default %(default)g)"),
+    "mix-spectral": (None, "mixing-spectrum step in meV (default kT/100)"),
+    "infer-delta": (1.0, "gap-sweep step in meV (default %(default)g)"),
+    "lowt-error": (5.0, "gap and cutoff step of the error maps in meV (default %(default)g)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,9 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="config file path, or 'default' for the "
                              "packaged example configuration")
     common.add_argument("--out", default="./out", help="output directory")
-    common.add_argument("--grid-step", type=_positive, default=None,
-                        metavar="MEV",
-                        help="override the sweep/spectral grid step in meV")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout (files are still written)")
     ap = argparse.ArgumentParser(
@@ -595,12 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in sorted(_COMMANDS):
         if name == "sweep":
             continue
-        sub.add_parser(name, parents=[common])
+        cmd = sub.add_parser(name, parents=[common])
+        if name in _GRID_STEP:
+            default, text = _GRID_STEP[name]
+            cmd.add_argument("--grid-step", type=_positive, default=default,
+                             metavar="MEV", help=text)
     sw = sub.add_parser("sweep", parents=[common])
-    sw.add_argument("sweep_command", help="command to sweep (only: lifetime)")
-    sw.add_argument("--axis", default="T", help="sweep axis (only: T)")
-    sw.add_argument("--from", dest="from_value", type=_finite, default=300.0,
-                    help="sweep start")
+    sw.add_argument("sweep_command", choices=("lifetime",), help="command to sweep")
+    sw.add_argument("--axis", default="T", choices=("T",), help="sweep axis")
+    sw.add_argument("--from", dest="from_value", type=_non_negative,
+                    default=300.0, help="sweep start")
     sw.add_argument("--to", dest="to_value", type=_finite, default=700.0,
                     help="sweep end")
     sw.add_argument("--step", dest="step_value", type=_positive, default=25.0,

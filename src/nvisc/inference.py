@@ -192,14 +192,13 @@ def infer_omega(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
 
 
 def low_delta_exclusion(pc: PhononCoupling, f: GridFunction,
-                        target_lo: float, floor: float = 148.0,
-                        delta_prime: float = 1190.0,
+                        floor: float = 148.0, delta_prime: float = 1190.0,
                         include_singlet_path: bool = True) -> float:
-    """Largest no-cutoff ratio over gaps up to ``floor``.
+    """Largest no-cutoff ratio over gaps up to ``floor``, on a 2 meV scan.
 
-    A value below ``target_lo`` means no cutoff can reconcile those gaps
-    with the measured ratio, which is what justifies dropping the low
-    interval in infer_delta.
+    A value below the measured ratio band means no cutoff can reconcile
+    those gaps with the measurement, which is what justifies dropping the
+    low interval in infer_delta.
     """
     out = 0.0
     for delta in np.arange(24.0, floor + 0.5, 2.0):

@@ -126,20 +126,18 @@ def alpha_const(x_delta: float) -> float:
 
 
 def gamma_mix(mp: MixingParams) -> RateResult:
-    """Two-phonon mixing rate (64/pi) alpha eta^2 (kT)^5, in MHz."""
+    """Two-phonon mixing rate (64/pi) alpha eta^2 (kT)^5, in MHz; the band
+    is the value times (eta_x/eta)^2 at the eta extremes eta_x."""
     if mp.temperature_k <= 0:
         raise ValueError("mixing rate needs T > 0")
     kt = thermal_energy(mp.temperature_k)
     alpha = alpha_const(mp.delta_xy_mev / kt)
-
-    def rate(eta_mhz: float) -> float:
-        eta = eta_mhz_to_internal(eta_mhz)
-        return (64.0 / math.pi) * alpha * eta * eta * kt**5 * MEV_TO_MHZ
-
+    eta = eta_mhz_to_internal(mp.eta_mhz)
+    value = (64.0 / math.pi) * alpha * eta * eta * kt**5 * MEV_TO_MHZ
     band = None
     if mp.eta_band_mhz is not None:
-        band = (rate(mp.eta_band_mhz[0]), rate(mp.eta_band_mhz[1]))
-    return RateResult(rate(mp.eta_mhz), band)
+        band = tuple(value * (e / mp.eta_mhz) ** 2 for e in mp.eta_band_mhz)
+    return RateResult(value, band)
 
 
 def gamma_mix_spectral(mp: MixingParams, omega_max: float | None = None,

@@ -166,19 +166,17 @@ class RateResult:
 @dataclasses.dataclass(frozen=True)
 class HighTempParams:
     """Thermally activated decay channel: rate s * Gamma_Rad *
-    exp(-delta_e / kT), with epsilon its coupling into the split pair."""
+    exp(-delta_e / kT); lifetime() takes its coupling epsilon into the
+    split pair."""
 
     s: float
     delta_e_ev: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.s < 0:
             raise ValueError("s must be >= 0")
         if self.delta_e_ev <= 0:
             raise ValueError("activation energy must be > 0")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +465,8 @@ def lifetime(g_rad: RateResult, g_isc: RateResult, g_ht: RateResult,
     split pair adds the crossing rate and epsilon times the activated
     channel.  Rates are Gamma/2pi in MHz, so tau = 1e3/(2 pi nu_total).
     """
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
     if ms == "ms0":
         total = g_rad.value_mhz + g_ht.value_mhz
     elif ms == "ms1":

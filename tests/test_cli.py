@@ -285,6 +285,17 @@ def test_negative_temperature_exits_2_citing_line(config_path, tmp_path,
     assert not (tmp_path / "out" / "summary.txt").exists()
 
 
+def test_negative_epsilon_exits_2_citing_line(config_path, tmp_path, capsys):
+    # a negative admixture would lengthen the split-pair lifetime
+    p = config_with(config_path, tmp_path, "epsilon_list", "-3,0.5")
+    n_lines = len(p.read_text().splitlines())
+    assert cli.main(["lifetime", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"c.txt:{n_lines}:" in err and "epsilon_list" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
 def test_disordered_band_rejected(config_path, tmp_path, capsys):
     text = config_path.read_text().replace("perp_ratio_hi = 1.4",
                                            "perp_ratio_hi = 1.1")
@@ -428,36 +439,49 @@ BAD_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("args", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
-def test_bad_flag_value_exits_2_naming_flag(config_path, tmp_path, capsys,
-                                            args):
+def refused_at_parse(config_path, tmp_path, capsys, args) -> str:
+    """stderr of a command line argparse refuses: exit 2, no summary.txt."""
     with pytest.raises(SystemExit) as exit_info:
         cli.main([*args, "--config", str(config_path), "--out",
                   str(tmp_path / "out"), "--quiet"])
     assert exit_info.value.code == 2
-    flag = next(a for a in reversed(args) if a.startswith("--"))
-    assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.txt").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_bad_flag_value_exits_2_naming_flag(config_path, tmp_path, capsys,
+                                            args):
+    flag = next(a for a in reversed(args) if a.startswith("--"))
+    assert f"argument {flag}:" in refused_at_parse(config_path, tmp_path,
+                                                   capsys, args)
+
+
+@pytest.mark.parametrize("command", [["rate-a1"], ["lifetime"],
+                                     ["sweep", "lifetime"]],
+                         ids=["rate-a1", "lifetime", "sweep-lifetime"])
+def test_grid_step_refused_where_unread(config_path, tmp_path, capsys,
+                                        command):
+    err = refused_at_parse(config_path, tmp_path, capsys,
+                           [*command, "--grid-step", "5"])
+    assert "unrecognized arguments: --grid-step 5" in err
 
 
 def test_sweep_rejects_other_axes(config_path, tmp_path, capsys):
-    assert cli.main(["sweep", "lifetime", "--axis", "delta", "--config",
-                     str(config_path), "--out", str(tmp_path)]) == 2
-    assert "axis" in capsys.readouterr().err
+    err = refused_at_parse(config_path, tmp_path, capsys,
+                           ["sweep", "lifetime", "--axis", "delta"])
+    assert "argument --axis:" in err
 
 
 def test_sweep_negative_start_exits_2(config_path, tmp_path, capsys):
-    assert cli.main(["sweep", "lifetime", "--from", "-50", "--to", "10",
-                     "--config", str(config_path), "--out",
-                     str(tmp_path / "out")]) == 2
-    assert "--from" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    err = refused_at_parse(config_path, tmp_path, capsys,
+                           ["sweep", "lifetime", "--from", "-50", "--to", "10"])
+    assert "argument --from:" in err
 
 
 def test_sweep_rejects_other_commands(config_path, tmp_path, capsys):
-    assert cli.main(["sweep", "ratio", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-    assert "lifetime" in capsys.readouterr().err
+    err = refused_at_parse(config_path, tmp_path, capsys, ["sweep", "ratio"])
+    assert "argument sweep_command:" in err and "lifetime" in err
 
 
 # ---------------------------------------------------------- data readers

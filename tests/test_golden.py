@@ -23,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nvisc import cli
@@ -147,3 +148,49 @@ def test_shipped_data_is_reproducible(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == shipped
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
+
+GENERATOR = ROOT / "scripts" / "make_reference_data.py"
+
+
+@pytest.fixture(scope="module")
+def generator():
+    spec = importlib.util.spec_from_file_location("make_reference_data", GENERATOR)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_generator_objective_is_finite(generator):
+    # the --tune objective at the frozen shape: 84 terms, 73 of them the
+    # 4 meV plateau nodes
+    r = generator.residuals(generator.pack(generator.SHAPE))
+    assert r.shape == (84,) and np.all(np.isfinite(r))
+
+
+def test_generator_anchors_match_golden(generator):
+    # the tuning anchors are the package analyses the CLI runs on the
+    # shipped table, so they agree with the golden summaries at print
+    # precision
+    d = generator.diagnostics(generator.SHAPE)
+    raw = ", ".join(f"[{a:.1f}, {b:.1f}]" for a, b in d["intervals"])
+    assert (f"raw intervals (meV): {raw}\n"
+            in (GOLDEN / "infer-delta" / "summary.txt").read_text())
+    assert (f"Gamma_A1/2pi = {d['nu_a1_392']:.6g} MHz "
+            in (GOLDEN / "rate-a1" / "summary.txt").read_text())
+    assert (f"at Delta = 392 meV: {d['sens_392']:.6g} MHz/meV"
+            in (GOLDEN / "sensitivity" / "summary.txt").read_text())
+
+
+def test_generator_check_runs_without_scipy():
+    # only --tune needs scipy
+    code = ("import runpy, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "sys.argv = ['make_reference_data.py', '--check']\n"
+            f"runpy.run_path({str(GENERATOR)!r}, run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=False)
+    assert res.returncode == 0, res.stderr
+    assert "nu_a1_392: 16.4742" in res.stdout

@@ -170,7 +170,7 @@ def test_asymptotic_ratio_bounds_cutoff_ratios(pc, f0):
 
 
 def test_low_delta_exclusion_scan(pc, f0):
-    out = low_delta_exclusion(pc, f0, target_lo=0.45)
+    out = low_delta_exclusion(pc, f0)
     assert out >= 0.0
     assert out == pytest.approx(
         max(asymptotic_ratio(pc, f0, LevelSpacings(d, 1190.0))

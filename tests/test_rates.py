@@ -549,6 +549,8 @@ def test_lifetime_rejects_vanishing_rates_and_bad_class():
         lifetime(zero, zero, zero, 0.0, "ms0")
     with pytest.raises(ValueError, match="spin class"):
         lifetime(RateResult(13.2), zero, zero, 0.0, "ms2")
+    with pytest.raises(ValueError, match="epsilon"):
+        lifetime(RateResult(13.2), zero, zero, -0.1, "ms1")
 
 
 # ---------------------------------------------------------------------------
@@ -594,5 +596,3 @@ def test_high_temp_params_validation():
         HighTempParams(-1.0, 0.94)
     with pytest.raises(ValueError):
         HighTempParams(5.8e7, 0.0)
-    with pytest.raises(ValueError):
-        HighTempParams(5.8e7, 0.94, epsilon=-0.1)
