@@ -95,8 +95,8 @@ def diagnostics(shape) -> dict:
     w_lo, w_hi = TARGET.lo / band_per_overlap[1], TARGET.hi / band_per_overlap[0]
     plateau = np.arange(48.0, 340.0, 1.0)
     pvals = f.sample(plateau)
-    r_on = e12_a1_ratio(PC, f, ls, include_singlet_path=True)
-    r_off = e12_a1_ratio(PC, f, ls, include_singlet_path=False)
+    r_on = e12_a1_ratio(PC, f, ls)
+    r_off = e12_a1_ratio(PC, f, LevelSpacings(ls.delta, math.inf))
     omega = infer_omega(SO, PC, model, ls, RATIO_TARGET,
                         deltas=(344.0, 365.0, 392.0, 410.0, 430.0))
     return {
@@ -114,8 +114,8 @@ def diagnostics(shape) -> dict:
         "r_on_392": r_on,
         "r_off_392": r_off,
         "correction_pct": 100.0 * (1.0 - r_on / r_off),
-        "r_on_344": e12_a1_ratio(PC, f, LevelSpacings(344.0, DELTA_PRIME), include_singlet_path=True),
-        "r_on_430": e12_a1_ratio(PC, f, LevelSpacings(430.0, DELTA_PRIME), include_singlet_path=True),
+        "r_on_344": e12_a1_ratio(PC, f, LevelSpacings(344.0, DELTA_PRIME)),
+        "r_on_430": e12_a1_ratio(PC, f, LevelSpacings(430.0, DELTA_PRIME)),
         "excl_max_ratio": low_delta_exclusion(PC, f, delta_prime=DELTA_PRIME),
         "omega_interval": None if omega.is_empty else next(iter(omega)),
         "sens_392": isc_sensitivity(SO, PC, model, ls),

@@ -206,6 +206,8 @@ def parse_config(text: str, base_dir: Path, source: str = "config") -> RunConfig
                                 for p in val.split(",") if p.strip())
         else:
             values[key] = val
+        if kind == _LIST and not values[key]:
+            raise ConfigError(f"{where}: '{key}' needs at least one number, got '{val}'")
         if key in _NON_NEGATIVE and np.any(np.asarray(values[key]) < 0.0):
             raise ConfigError(f"{where}: '{key}' must be >= 0, got {val}")
     missing = [k for k, (_, req, _) in _SCHEMA.items()
@@ -261,11 +263,11 @@ _CURVE_COLUMNS = (("temperature_K", ".10g"), ("spin_class", ""),
                   ("epsilon", "g"), ("tau_ns", ".10g"))
 
 
-def _fmt_band(res: rates.RateResult, unit: str = "MHz") -> str:
+def _fmt_band(res: rates.RateResult) -> str:
     if res.band_mhz is None:
-        return f"{res.value_mhz:.6g} {unit}"
+        return f"{res.value_mhz:.6g} MHz"
     lo, hi = res.band_mhz
-    return f"{res.value_mhz:.6g} {unit} (band {lo:.6g} .. {hi:.6g})"
+    return f"{res.value_mhz:.6g} MHz (band {lo:.6g} .. {hi:.6g})"
 
 
 _UNIT_NOTE = (
@@ -325,8 +327,8 @@ def cmd_rate_e12(cfg: RunConfig, args, out: Path) -> list[str]:
     f0 = model.calibrated_overlap(0.0)
     t = cfg["temperature_k"]
     f_t = model.calibrated_overlap(t)
-    cold_plain = rates.gamma_e12_lowT(so, pc, f0, ls)
-    cold_corr = rates.gamma_e12_lowT(so, pc, f0, ls, include_singlet_path=True)
+    cold_plain = rates.gamma_e12_lowT(so, pc, f0, rates.LevelSpacings(ls.delta, math.inf))
+    cold_corr = rates.gamma_e12_lowT(so, pc, f0, ls)
     warm = rates.gamma_e12_finiteT(so, pc, f_t, ls, t)
     spec = rates.gamma_e12_spectral(so, pc, f_t, ls, t, step=args.grid_step)
     write_csv(spec, out / "rate_e12_spectral.csv",
@@ -345,8 +347,8 @@ def cmd_ratio(cfg: RunConfig, args, out: Path) -> list[str]:
     model = cfg.model()
     pc, ls = cfg.phonon_coupling(), cfg.level_spacings()
     f0 = model.calibrated_overlap(0.0)
-    off = rates.e12_a1_ratio(pc, f0, ls, include_singlet_path=False)
-    on = rates.e12_a1_ratio(pc, f0, ls, include_singlet_path=True)
+    off = rates.e12_a1_ratio(pc, f0, rates.LevelSpacings(ls.delta, math.inf))
+    on = rates.e12_a1_ratio(pc, f0, ls)
     return [
         f"Gamma_E12/Gamma_A1 = {off:.6g} (plain weight)",
         f"Gamma_E12/Gamma_A1 = {on:.6g} (interference-corrected)",

@@ -60,6 +60,8 @@ DELTA_SWEEP = (20.0, 600.0, 1.0)
 # default gap range the cutoff inference averages over (meV)
 DELTA_RANGE = (344.0, 430.0)
 OMEGA_GRID_STEP = 0.25
+# largest cutoff infer_omega scans (meV)
+OMEGA_MAX = 150.0
 MOTT_SEITZ_MAX_ITER = 200  # fit iteration cap; typical series converge in < 30
 
 
@@ -99,7 +101,9 @@ class LifetimeSeries:
         return self.temperatures_k.size
 
     def select(self, spin_class: str) -> "LifetimeSeries":
-        keep = [i for i, c in enumerate(self.spin_classes) if c == spin_class]
+        """The rows of one spin class in ascending temperature order."""
+        keep = [i for i in np.argsort(self.temperatures_k, kind="stable")
+                if self.spin_classes[i] == spin_class]
         if not keep:
             raise ValueError(f"no {spin_class} rows in series")
         return LifetimeSeries(self.temperatures_k[keep], self.taus_ns[keep],
@@ -141,32 +145,30 @@ def infer_delta(so: SpinOrbitParams, f: GridFunction, target: MeasuredBand,
 
 
 def _cumulative_ratio(pc_eta_internal: float, f: GridFunction, delta: float,
-                      delta_prime: float, include_singlet_path: bool,
-                      omega_max: float) -> tuple[np.ndarray, np.ndarray]:
+                      delta_prime: float, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Monotone cutoff -> ratio curve: a cutoff sweep of the assisted
-    integral over the OMEGA_GRID_STEP nodes up to min(omega_max, delta)."""
+    integral over the OMEGA_GRID_STEP nodes up to min(omega_max, delta),
+    interference-corrected for a finite ``delta_prime``."""
     fd = _require_overlap(f, delta)
     h = OMEGA_GRID_STEP
     om = h * np.arange(int(math.ceil(min(omega_max, delta) / h)) + 1)
-    cum = _assisted_sweep(f, delta, om, 0.0, h,
-                          delta_prime if include_singlet_path else math.inf)
+    cum = _assisted_sweep(f, delta, om, 0.0, h, delta_prime)
     return om, (2.0 / math.pi) * pc_eta_internal * cum / fd
 
 
-def asymptotic_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings,
-                     include_singlet_path: bool = True) -> float:
+def asymptotic_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings) -> float:
     """Ratio in the no-cutoff limit (the integral truncates at the gap
     itself, so this is the largest ratio any cutoff can produce)."""
     om, r = _cumulative_ratio(pc.eta_internal, f, ls.delta, ls.delta_prime,
-                              include_singlet_path, ls.delta)
+                              ls.delta)
     return float(r[-1])
 
 
 def infer_omega(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
                 ls: LevelSpacings, ratio_target: MeasuredBand,
-                deltas=None, include_singlet_path: bool = True,
-                omega_max: float = 150.0) -> IntervalSet:
-    """Cutoff interval consistent with the measured rate ratio.
+                deltas=None) -> IntervalSet:
+    """Cutoff interval consistent with the measured rate ratio, scanning
+    cutoffs up to OMEGA_MAX.
 
     The ratio is non-decreasing in the cutoff, so each target-band edge
     maps to a cutoff by inverse interpolation; the returned interval is
@@ -180,7 +182,7 @@ def infer_omega(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
     los, his = [], []
     for delta in np.atleast_1d(np.asarray(deltas, dtype=float)):
         om, r = _cumulative_ratio(pc.eta_internal, f, delta, ls.delta_prime,
-                                  include_singlet_path, omega_max)
+                                  OMEGA_MAX)
         if r[-1] < ratio_target.lo:
             continue
         los.append(float(np.interp(ratio_target.lo, r, om)))
@@ -192,9 +194,9 @@ def infer_omega(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
 
 
 def low_delta_exclusion(pc: PhononCoupling, f: GridFunction,
-                        floor: float = 148.0, delta_prime: float = 1190.0,
-                        include_singlet_path: bool = True) -> float:
-    """Largest no-cutoff ratio over gaps up to ``floor``, on a 2 meV scan.
+                        floor: float = 148.0, delta_prime: float = 1190.0) -> float:
+    """Largest no-cutoff ratio over gaps up to ``floor``, on a 2 meV scan
+    (interference-corrected unless ``delta_prime`` is math.inf).
 
     A value below the measured ratio band means no cutoff can reconcile
     those gaps with the measurement, which is what justifies dropping the
@@ -204,8 +206,7 @@ def low_delta_exclusion(pc: PhononCoupling, f: GridFunction,
     for delta in np.arange(24.0, floor + 0.5, 2.0):
         if f.sample(delta) <= 0.0:
             continue
-        out = max(out, asymptotic_ratio(
-            pc, f, LevelSpacings(delta, delta_prime), include_singlet_path))
+        out = max(out, asymptotic_ratio(pc, f, LevelSpacings(delta, delta_prime)))
     return out
 
 
@@ -283,16 +284,16 @@ def _ms_tau(nu0: float, s: float, delta_e_ev: float,
 
 def fit_mott_seitz(data: LifetimeSeries, g_rad: RateResult,
                    tau0_ns: float = 12.0) -> MottSeitzFit:
-    """Fit tau(T) = 1e3 / (2 pi nu0 (1 + s e^{-dE/kT})) to a shelf-class
-    series, with the base rate pinned to the measured radiative rate.
+    """Fit tau(T) = 1e3 / (2 pi nu0 (1 + s e^{-dE/kT})) to the shelf-class
+    rows of a series (``select("ms0")``, in temperature order), with the
+    base rate pinned to the measured radiative rate.
 
     Initialization is deterministic: the activation energy from the
-    Arrhenius slope of the last three points, the prefactor from the
-    last point's residual rate.  ``tau0_ns`` is the no-quenching anchor
+    Arrhenius slope of the three hottest points, the prefactor from the
+    hottest point's residual rate.  ``tau0_ns`` is the no-quenching anchor
     used to decide whether a turn-on is present at all.
     """
-    if any(c != "ms0" for c in data.spin_classes):
-        data = data.select("ms0")
+    data = data.select("ms0")
     if len(data) < 3:
         raise ValueError("need at least 3 points to fit the quenching")
     nu0 = g_rad.value_mhz
@@ -310,8 +311,8 @@ def fit_mott_seitz(data: LifetimeSeries, g_rad: RateResult,
     tail = excess[-3:]
     if np.any(tail <= 0):
         raise ValueError(
-            "deltaE unidentifiable: no activated excess rate in the last "
-            "three points")
+            "deltaE unidentifiable: no activated excess rate in the three "
+            "hottest points")
     slope = np.polyfit(1.0 / kt_ev[-3:], np.log(tail), 1)[0]
     de0 = max(-slope, 0.01)
     s0 = float(tail[-1] * math.exp(de0 / kt_ev[-1]) / nu0)
@@ -406,10 +407,10 @@ def lifetime_curves(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
 
 
 def isc_sensitivity(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
-                    ls: LevelSpacings, h: float = 2.0,
-                    include_singlet_path: bool = True) -> float:
+                    ls: LevelSpacings, h: float = 2.0) -> float:
     """Finite-difference slope of the orbit-averaged crossing rate,
-    in MHz per meV, positive when the rate grows as the gap shrinks."""
+    in MHz per meV, positive when the rate grows as the gap shrinks (the
+    assisted part interference-corrected for a finite ``ls.delta_prime``)."""
     f0 = psb.calibrated_overlap(0.0)
     if ls.delta - h <= f0.omega_min or ls.delta + h >= f0.omega_max:
         raise ValueError("gap too close to the sideband support edge for "
@@ -418,7 +419,7 @@ def isc_sensitivity(so: SpinOrbitParams, pc: PhononCoupling, psb: PsbModel,
     def nu_isc(delta: float) -> float:
         ls_d = LevelSpacings(delta, ls.delta_prime)
         g_a1 = gamma_a1(so, f0, delta)
-        g_e12 = gamma_e12_lowT(so, pc, f0, ls_d, include_singlet_path)
+        g_e12 = gamma_e12_lowT(so, pc, f0, ls_d)
         return isc_average(g_a1, g_e12).value_mhz
 
     return (nu_isc(ls.delta - h) - nu_isc(ls.delta + h)) / (2.0 * h)

@@ -140,20 +140,19 @@ def gamma_mix(mp: MixingParams) -> RateResult:
     return RateResult(value, band)
 
 
-def gamma_mix_spectral(mp: MixingParams, omega_max: float | None = None,
+def gamma_mix_spectral(mp: MixingParams,
                        step: float | None = None) -> GridFunction:
     """Spectral decomposition of the two-phonon rate (MHz/meV) over the
     absorbed-phonon energy; integrates to gamma_mix.
 
-    Default axis [0, 40 kT] with step kT/100; the integrand rises as
+    Axis [0, 40 kT], by default in steps of kT/100; the integrand rises as
     omega^2, peaks near 4 kT and is exponentially negligible at the
     upper end.
     """
     if mp.temperature_k <= 0:
         raise ValueError("mixing spectrum needs T > 0")
     kt = thermal_energy(mp.temperature_k)
-    if omega_max is None:
-        omega_max = 40.0 * kt
+    omega_max = 40.0 * kt
     if step is None:
         step = kt / 100.0
     check_grid(omega_max / step + 1, f"a mixing spectrum in {step:g} meV steps")

@@ -160,8 +160,6 @@ def huang_rhys(f: GridFunction, s0: float, temperature_k: float,
                omega_cap: float) -> float:
     """Temperature-dependent mean phonon count
     S(T) = S0 int_0^cap (2n+1) f domega (equals S0 at T = 0 for unit f)."""
-    if temperature_k == 0.0:
-        return s0 * integrate(f, 0.0, omega_cap)
     vals = f.values.copy()
     pos = f.grid > 0.0
     vals[pos] *= 2.0 * thermal_occupation(f.grid[pos], temperature_k) + 1.0

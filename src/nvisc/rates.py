@@ -14,19 +14,18 @@ The split pair crosses through a phonon-assisted second-order path,
 which at T = 0 collapses to the emission term alone, cut at
 min(Delta, Omega).  An optional interference correction for the second
 singlet replaces the weight omega by omega (1 - 2 omega / (Delta + Delta'))^2
-in the T = 0 form.
+in the T = 0 form; it is on when LevelSpacings.delta_prime is finite
+and off at math.inf.
 
 Every assisted integral, from one rate to a whole gap or cutoff sweep,
-goes through one kernel (_assisted_sweep).  It samples each overlap once,
-on a lattice of step h, and reads each gap's integrand as a row of a
-sliding-window view of those samples: emission and absorption weights,
-the kT term at omega = 0 and the trapezoid end weights form one weight
-row, so a gap sweep is one matrix-vector product and a cutoff sweep one
-cumulative trapezoid.  h is the largest step <= RATE_STEP that divides
-the sweep step (for one rate, its upper limit), so sweep nodes and
-cutoffs sit on lattice nodes; a cutoff off the lattice ends with a
-partial trapezoid cell.  A lattice or a gap sweep (rows x window) above
-psb.MAX_GRID_NODES nodes raises ArithmeticError before it is allocated.
+goes through one kernel (_assisted_sweep) on a lattice of step h, the
+largest step <= RATE_STEP that divides the sweep step (for one rate, its
+upper limit).  One gap samples its overlap in one place, _integrand:
+gamma_e12_spectral is that integrand, and a one-gap sweep reads its
+cumulative trapezoid at each cutoff (a cutoff off the lattice ends with
+a partial cell).  A sweep over several gaps reads each gap's integrand
+as a row of a sliding-window view of one set of samples.  Grids above
+psb.MAX_GRID_NODES nodes raise ArithmeticError before they are allocated.
 
 Everything internal is hbar = 1 and meV; results are reported as
 ordinary frequencies in MHz (Gamma / 2 pi).  Every crossing rate is
@@ -133,7 +132,8 @@ class PhononCoupling:
 @dataclasses.dataclass(frozen=True)
 class LevelSpacings:
     """Gap to the upper singlet (meV) and the singlet-singlet splitting
-    (meV; may be math.inf to disable the interference correction)."""
+    (meV).  The zero-temperature assisted rates apply the interference
+    correction when ``delta_prime`` is finite; math.inf turns it off."""
 
     delta: float
     delta_prime: float = 1190.0
@@ -267,26 +267,42 @@ def _thermal_weights(om: np.ndarray, temperature_k: float,
     return em * powers, ab * powers
 
 
+def _weight_coefs(deltas, delta_prime: float) -> np.ndarray:
+    """Coefficients of w / omega in powers of omega, one row per gap: 1, or
+    (1 - 2 omega/d)^2 = 1 - (4/d) omega + (4/d^2) omega^2 (d = Delta + Delta')."""
+    d = np.atleast_1d(deltas) + delta_prime
+    coef = np.stack([np.ones_like(d), -4.0 / d, 4.0 / d ** 2], axis=1)
+    return coef[:, :1] if math.isinf(delta_prime) else coef
+
+
+def _integrand(f: GridFunction, delta: float, n: int, h: float,
+               temperature_k: float, delta_prime: float) -> np.ndarray:
+    """w(omega) {[n+1] F(Delta - omega) + n F(Delta + omega)} of one gap on
+    the lattice nodes omega = j h, j = 0..n: the one place a single gap
+    samples its overlap."""
+    coef = _weight_coefs(delta, delta_prime)[0]
+    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k, coef.size)
+    warm = thermal_energy(temperature_k) > 0.0
+    samples = f.sample(delta + h * np.arange(-n, n + 1 if warm else 1))
+    out = (coef @ em) * samples[n::-1]
+    if warm:
+        out += (coef @ ab) * samples[n:]
+    return out
+
+
 def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
                     h: float, delta_prime: float = math.inf) -> np.ndarray:
     """int_0^c w(omega) {[n+1] F(Delta - omega) + n F(Delta + omega)} domega
-    for a whole sweep, one value per (Delta, c) pair.
+    for a whole sweep, one value per (Delta, c) pair: w = omega, or
+    omega (1 - 2 omega/(Delta + Delta'))^2 for a finite ``delta_prime``.
 
-    The weight is w = omega, or omega (1 - 2 omega/(Delta + Delta'))^2
-    for a finite ``delta_prime``, expanded in powers of omega so that one
-    weight row per power serves every gap.  F is sampled once, on a
-    lattice of step ``h`` from min(Delta) - max(c) to max(Delta) + max(c)
-    (to max(Delta) at T = 0, where n = 0), and the integrand is taken as
-    linear between lattice nodes: a cutoff off the lattice ends with a
-    partial trapezoid cell.
-
-    Either ``deltas`` is one gap or a uniform sweep whose step is a
-    multiple of ``h`` with one cutoff per gap (a gap sweep: each gap's
-    integrand is a row of a sliding-window view of the samples, and the
-    sweep is one matrix-vector product per power), or ``deltas`` is one
-    gap and ``cutoffs`` sweeps (a cutoff sweep: one cumulative trapezoid
-    read at each cutoff).  Grids beyond psb.MAX_GRID_NODES are refused
-    before they are allocated.
+    One gap: the cumulative trapezoid of _integrand, read at each cutoff.
+    Several gaps (a uniform sweep whose step is a multiple of ``h``, one
+    cutoff per gap): F is sampled once and each gap's integrand is a row
+    of a sliding-window view, one matrix-vector product per weight power.
+    The integrand is linear between lattice nodes, so a cutoff off the
+    lattice ends with a partial trapezoid cell.  Grids beyond
+    psb.MAX_GRID_NODES are refused before they are allocated.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     cutoffs = np.atleast_1d(np.asarray(cutoffs, dtype=float))
@@ -301,30 +317,23 @@ def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
     # and on to Delta + n h when the absorption half is on
     n = float(np.max(k + (tau > 0.0)))
     width = (2.0 if warm else 1.0) * n + 1.0
-    if deltas.size > 1:
-        stride = round((deltas[1] - deltas[0]) / h)
-        length = (deltas.size - 1) * stride + width
-        check_grid(deltas.size * width,
-                   f"a {deltas.size}-gap sweep over {width:.6g}-node windows")
-    else:
-        stride, length = 1, width
+    if deltas.size == 1:
+        check_grid(width, f"a {h:g} meV rate lattice")
+        n, k = int(n), k.astype(int)
+        g = _integrand(f, float(deltas[0]), n, h, temperature_k, delta_prime)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * h)])
+        nxt = g[np.minimum(k + 1, n)]
+        return cum[k] + 0.5 * h * tau * ((2.0 - tau) * g[k] + tau * nxt)
+
+    stride = round((deltas[1] - deltas[0]) / h)
+    length = (deltas.size - 1) * stride + width
+    check_grid(deltas.size * width,
+               f"a {deltas.size}-gap sweep over {width:.6g}-node windows")
     check_grid(length, f"a {h:g} meV rate lattice")
     n, width, k = int(n), int(width), k.astype(int)
     samples = f.sample(deltas[0] + h * np.arange(-n, int(length) - n))
-    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k,
-                              1 if math.isinf(delta_prime) else 3)
-    d = deltas + delta_prime
-    coef = np.stack([np.ones_like(d), -4.0 / d, 4.0 / d ** 2], axis=1)[:, :em.shape[0]]
-
-    if deltas.size == 1 and cutoffs.size > 1:
-        integrand = (coef[0] @ em) * samples[n::-1]
-        if warm:
-            integrand += (coef[0] @ ab) * samples[n:]
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * h)])
-        nxt = integrand[np.minimum(k + 1, n)]
-        return cum[k] + 0.5 * h * tau * ((2.0 - tau) * integrand[k] + tau * nxt)
-
+    coef = _weight_coefs(deltas, delta_prime)
+    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k, coef.shape[1])
     rows = sliding_window_view(samples, width)[::stride]
     out = np.empty(deltas.size)
     # consecutive gaps with one cutoff share one weight row per power
@@ -347,25 +356,21 @@ def _assisted_sweep(f: GridFunction, deltas, cutoffs, temperature_k: float,
     return out
 
 
-def _lowT_integral(f: GridFunction, pc: PhononCoupling, ls: LevelSpacings,
-                   include_singlet_path: bool) -> float:
+def _lowT_integral(f: GridFunction, pc: PhononCoupling, ls: LevelSpacings) -> float:
     """int_0^min(Delta, Omega) w(omega) F(Delta - omega) domega as a
-    one-row sweep; the interference weight when ``include_singlet_path``."""
+    one-gap sweep."""
     upper = min(ls.delta, pc.omega_mev)
-    delta_prime = ls.delta_prime if include_singlet_path else math.inf
     return float(_assisted_sweep(f, ls.delta, upper, 0.0, _lattice_step(upper),
-                                 delta_prime)[0])
+                                 ls.delta_prime)[0])
 
 
-def e12_a1_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings,
-                 include_singlet_path: bool = False) -> float:
+def e12_a1_ratio(pc: PhononCoupling, f: GridFunction, ls: LevelSpacings) -> float:
     """Assisted-to-direct rate ratio (2/pi) eta int w F(Delta-omega) / F(Delta).
 
     Amplitude-calibration free: any overall factor on F cancels.
     """
     fd = _require_overlap(f, ls.delta)
-    integral = _lowT_integral(f, pc, ls, include_singlet_path)
-    return (2.0 / math.pi) * pc.eta_internal * integral / fd
+    return (2.0 / math.pi) * pc.eta_internal * _lowT_integral(f, pc, ls) / fd
 
 
 def _e12_coef(so: SpinOrbitParams, pc: PhononCoupling) -> float:
@@ -375,8 +380,7 @@ def _e12_coef(so: SpinOrbitParams, pc: PhononCoupling) -> float:
 
 
 def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
-                   ls: LevelSpacings,
-                   include_singlet_path: bool = False) -> RateResult:
+                   ls: LevelSpacings) -> RateResult:
     """Zero-temperature assisted crossing rate in MHz.
 
     Computed through the absolute integrand 8 lambda_perp^2 eta
@@ -385,43 +389,33 @@ def gamma_e12_lowT(so: SpinOrbitParams, pc: PhononCoupling, f: GridFunction,
     form is the ratio times the direct rate.
     """
     _require_overlap(f, ls.delta)
-    value = _e12_coef(so, pc) * _lowT_integral(f, pc, ls, include_singlet_path)
+    value = _e12_coef(so, pc) * _lowT_integral(f, pc, ls)
     return RateResult(value, _band(value, so, pc))
 
 
 def gamma_e12_spectral(so: SpinOrbitParams, pc: PhononCoupling,
                        f_t: GridFunction, ls: LevelSpacings,
-                       temperature_k: float, step: float = RATE_STEP,
-                       branch: str = "both") -> GridFunction:
+                       temperature_k: float, step: float = RATE_STEP) -> GridFunction:
     """Spectral decomposition of the finite-T assisted rate (MHz/meV)
-    over the phonon energy axis [0, Omega]; integrates to the rate.
-    ``f_t`` is the calibrated overlap at ``temperature_k``.
-
-    The nodes are the rate lattice of gamma_e12_finiteT (the largest
-    step <= ``step`` dividing Omega) and the values are the sweep
-    kernel's weight row times the sampled overlap."""
-    if branch not in ("both", "emission", "absorption"):
-        raise ValueError("branch must be both, emission or absorption")
+    over the phonon energy axis [0, Omega]: 8 lambda_perp^2 eta times the
+    integrand of gamma_e12_finiteT on its rate lattice (the largest step
+    <= ``step`` dividing Omega).  ``f_t`` is the calibrated overlap at
+    ``temperature_k``."""
     h = _lattice_step(pc.omega_mev, step)
     n = round(pc.omega_mev / h)
-    samples = f_t.sample(ls.delta + h * np.arange(-n, n + 1))
-    em, ab = _thermal_weights(h * np.arange(n + 1), temperature_k, 1)
-    vals = np.zeros(n + 1)
-    if branch in ("both", "emission"):
-        vals += em[0] * samples[n::-1]
-    if branch in ("both", "absorption"):
-        vals += ab[0] * samples[n:]
-    return GridFunction(0.0, h, _e12_coef(so, pc) * vals)
+    return GridFunction(0.0, h, _e12_coef(so, pc) * _integrand(
+        f_t, ls.delta, n, h, temperature_k, math.inf))
 
 
 def gamma_e12_finiteT(so: SpinOrbitParams, pc: PhononCoupling,
                       f_t: GridFunction, ls: LevelSpacings,
-                      temperature_k: float, step: float = RATE_STEP) -> RateResult:
+                      temperature_k: float) -> RateResult:
     """Finite-temperature assisted crossing rate (MHz): the integral of
     gamma_e12_spectral, with bands from the ratio and eta extremes.
-    ``f_t`` is the calibrated overlap at ``temperature_k``."""
+    ``f_t`` is the calibrated overlap at ``temperature_k``; the weight is
+    the plain omega (``ls.delta_prime`` is not read)."""
     integral = _assisted_sweep(f_t, ls.delta, pc.omega_mev, temperature_k,
-                               _lattice_step(pc.omega_mev, step))[0]
+                               _lattice_step(pc.omega_mev))[0]
     value = _e12_coef(so, pc) * float(integral)
     return RateResult(value, _band(value, so, pc))
 

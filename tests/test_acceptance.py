@@ -147,13 +147,13 @@ def test_acceptance_04_detailed_balance_and_mass_identity():
 
 def test_acceptance_05_limits_and_deconvolution_round_trip(model, pc, ls):
     f0 = model.calibrated_overlap(0.0)
-    plain = rates.e12_a1_ratio(pc, f0, ls, include_singlet_path=False)
-    far = rates.e12_a1_ratio(pc, f0, LevelSpacings(ls.delta, math.inf),
-                             include_singlet_path=True)
+    ls_plain = LevelSpacings(ls.delta, math.inf)
+    plain = rates.e12_a1_ratio(pc, f0, ls_plain)
+    far = rates.e12_a1_ratio(pc, f0, LevelSpacings(ls.delta, 1e15))
     dev_flag = abs(far - plain)
 
     so_mid = SpinOrbitParams.from_ghz(5.33, 1.2, (1.0, 1.4))
-    cold = rates.gamma_e12_lowT(so_mid, pc, f0, ls).value_mhz
+    cold = rates.gamma_e12_lowT(so_mid, pc, f0, ls_plain).value_mhz
     frozen = rates.gamma_e12_finiteT(so_mid, pc, f0, ls, 0.0).value_mhz
     dev_t = abs(frozen - cold) / cold
 
@@ -290,8 +290,8 @@ def test_acceptance_11_cutoff_interval_from_rate_ratio(model, so, pc, ls):
 
 def test_acceptance_12_interference_correction_size(model, pc, ls):
     f0 = model.calibrated_overlap(0.0)
-    plain = rates.e12_a1_ratio(pc, f0, ls, include_singlet_path=False)
-    corr = rates.e12_a1_ratio(pc, f0, ls, include_singlet_path=True)
+    plain = rates.e12_a1_ratio(pc, f0, LevelSpacings(ls.delta, math.inf))
+    corr = rates.e12_a1_ratio(pc, f0, ls)
     drop = 1.0 - corr / plain
     ok = abs(drop - 0.15) <= 0.05
     _report(12, "interference between crossing paths lowers the assisted "

@@ -161,6 +161,25 @@ def test_fit_mott_seitz_curve(config_path, tmp_path):
     assert "activation energy" in (tmp_path / "summary.txt").read_text()
 
 
+def test_fit_mott_seitz_ignores_row_order(config_path, tmp_path):
+    # the shipped table with its rows reversed holds the same points, so it
+    # gives the shipped summary and the same curve file
+    lines = (DATA / "high_temperature_lifetimes.csv").read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith("#") or not ln[:1].isdigit()]
+    rows = [ln for ln in lines if ln not in head]
+    table = tmp_path / "reversed.csv"
+    table.write_text("\n".join(head + rows[::-1]) + "\n")
+    p = config_with(config_path, tmp_path, "lifetime_csv", table)
+    assert run(["fit-mott-seitz", "--config", str(p)], tmp_path / "rev") == 0
+    assert run(["fit-mott-seitz", "--config", str(config_path)],
+               tmp_path / "fwd") == 0
+    golden = Path(__file__).parent / "golden" / "fit-mott-seitz"
+    body = (tmp_path / "rev" / "summary.txt").read_text().splitlines()[2:]
+    assert body == (golden / "summary.txt").read_text().splitlines()[2:]
+    assert filecmp.cmp(tmp_path / "rev" / "mott_seitz_curve.csv",
+                       tmp_path / "fwd" / "mott_seitz_curve.csv", shallow=False)
+
+
 def test_sensitivity_in_band(config_path, tmp_path):
     assert run(["sensitivity", "--config", str(config_path)], tmp_path) == 0
     summary = (tmp_path / "summary.txt").read_text()
@@ -288,6 +307,19 @@ def test_negative_temperature_exits_2_citing_line(config_path, tmp_path,
 def test_negative_epsilon_exits_2_citing_line(config_path, tmp_path, capsys):
     # a negative admixture would lengthen the split-pair lifetime
     p = config_with(config_path, tmp_path, "epsilon_list", "-3,0.5")
+    n_lines = len(p.read_text().splitlines())
+    assert cli.main(["lifetime", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"c.txt:{n_lines}:" in err and "epsilon_list" in err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("value", [",", ""], ids=["comma", "blank"])
+def test_empty_epsilon_list_exits_2_citing_line(config_path, tmp_path, capsys,
+                                                value):
+    # no admixture value would leave lifetimes.csv without a row
+    p = config_with(config_path, tmp_path, "epsilon_list", value)
     n_lines = len(p.read_text().splitlines())
     assert cli.main(["lifetime", "--config", str(p), "--out",
                      str(tmp_path / "out")]) == 2

@@ -132,8 +132,7 @@ def test_infer_omega_round_trip_random(rng, so, pc, model, f0):
         delta = float(rng.uniform(250.0, 430.0))
         omega0 = float(rng.uniform(30.0, 120.0))
         r0 = e12_a1_ratio(pc.with_omega(omega0), f0,
-                          LevelSpacings(delta, ls.delta_prime),
-                          include_singlet_path=True)
+                          LevelSpacings(delta, ls.delta_prime))
         found = infer_omega(so, pc, model, ls, MeasuredBand(r0, r0, r0),
                             deltas=[delta])
         assert len(found) == 1
@@ -157,15 +156,14 @@ def test_infer_omega_unreachable_reports_empty(so, pc, model, f0):
     ls = LevelSpacings(392.0, 1190.0)
     ceiling = asymptotic_ratio(pc, f0, ls)
     target = MeasuredBand(2.0 * ceiling, 1.9 * ceiling, 2.1 * ceiling)
-    assert infer_omega(so, pc, model, ls, target, deltas=[392.0],
-                       omega_max=392.0).is_empty
+    assert infer_omega(so, pc, model, ls, target, deltas=[392.0]).is_empty
 
 
 def test_asymptotic_ratio_bounds_cutoff_ratios(pc, f0):
     ls = LevelSpacings(392.0, 1190.0)
     ceiling = asymptotic_ratio(pc, f0, ls)
     for om in (40.0, 85.0, 150.0, 392.0):
-        r = e12_a1_ratio(pc.with_omega(om), f0, ls, include_singlet_path=True)
+        r = e12_a1_ratio(pc.with_omega(om), f0, ls)
         assert r <= ceiling + 1e-12
 
 
@@ -382,8 +380,7 @@ def test_lifetime_curves_monotone_and_epsilon_order(so, pc, model):
 def test_sensitivity_flat_overlap_flag_off(so, pc):
     flat = GridFunction(0.0, 1.0, np.full(1001, 3.0e-3))
     fake = types.SimpleNamespace(calibrated_overlap=lambda t=0.0: flat)
-    sens = isc_sensitivity(so, pc, fake, LevelSpacings(500.0, 1190.0),
-                           include_singlet_path=False)
+    sens = isc_sensitivity(so, pc, fake, LevelSpacings(500.0, math.inf))
     assert abs(sens) < 1e-12
 
 

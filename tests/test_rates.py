@@ -17,6 +17,7 @@ from nvisc.rates import (
     SpinOrbitParams,
     _assisted_sweep,
     _lattice_step,
+    _thermal_weights,
     e12_a1_ratio,
     gamma_a1,
     gamma_e12_finiteT,
@@ -78,6 +79,12 @@ def ls():
     return LevelSpacings(392.0, 1190.0)
 
 
+@pytest.fixture(scope="module")
+def ls_plain(ls):
+    # the second singlet at infinity: no interference correction
+    return LevelSpacings(ls.delta, math.inf)
+
+
 # ---------------------------------------------------------------------------
 # direct crossing
 
@@ -119,19 +126,21 @@ def test_gamma_a1_rejects_nonpositive_gap(so, f0):
 # assisted crossing, T = 0
 
 
-def test_ratio_flag_off_is_infinite_spacing_limit(pc, f0):
-    # with the second singlet pushed to infinity the interference weight
-    # degenerates to the plain one
-    on = e12_a1_ratio(pc, f0, LevelSpacings(392.0, math.inf),
-                      include_singlet_path=True)
-    off = e12_a1_ratio(pc, f0, LevelSpacings(392.0, 1190.0),
-                       include_singlet_path=False)
-    assert on == pytest.approx(off, rel=1e-12)
+def test_ratio_flag_off_is_infinite_spacing_limit(pc, f0, ls_plain):
+    # as the second singlet moves away the interference weight degenerates
+    # to the plain one, which delta_prime = inf selects
+    far = e12_a1_ratio(pc, f0, LevelSpacings(392.0, 1e15))
+    off = e12_a1_ratio(pc, f0, ls_plain)
+    assert far == pytest.approx(off, rel=1e-12)
+    assert off == pytest.approx(
+        (2.0 / math.pi) * pc.eta_internal
+        * _assisted_integral(f0, 392.0, pc.omega_mev, math.inf)
+        / f0.sample(392.0), rel=1e-12)
 
 
-def test_ratio_interference_reduces(pc, f0, ls):
-    on = e12_a1_ratio(pc, f0, ls, include_singlet_path=True)
-    off = e12_a1_ratio(pc, f0, ls, include_singlet_path=False)
+def test_ratio_interference_reduces(pc, f0, ls, ls_plain):
+    on = e12_a1_ratio(pc, f0, ls)
+    off = e12_a1_ratio(pc, f0, ls_plain)
     assert on < off
     assert 0.05 < 1.0 - on / off < 0.25
 
@@ -177,10 +186,11 @@ def test_lowT_monotone_in_cutoff(so, pc, f0, ls):
 # assisted crossing, finite T
 
 
-def test_finiteT_zero_kelvin_limit(so, pc, f0, ls):
+def test_finiteT_zero_kelvin_limit(so, pc, f0, ls, ls_plain):
+    # the finite-T rate carries no interference correction
     cold = gamma_e12_finiteT(so, pc, f0, ls, 0.0).value_mhz
-    assert cold == pytest.approx(gamma_e12_lowT(so, pc, f0, ls).value_mhz,
-                                 rel=1e-9)
+    assert cold == pytest.approx(
+        gamma_e12_lowT(so, pc, f0, ls_plain).value_mhz, rel=1e-9)
 
 
 def test_spectral_integrates_to_rate(so, pc, f5, ls):
@@ -189,30 +199,33 @@ def test_spectral_integrates_to_rate(so, pc, f5, ls):
         gamma_e12_finiteT(so, pc, f5, ls, 5.0).value_mhz, rel=1e-12)
 
 
-def test_spectral_absorption_frozen_at_zero_kelvin(so, pc, f0, ls):
-    spec = gamma_e12_spectral(so, pc, f0, ls, 0.0, branch="absorption")
-    assert np.all(spec.values == 0.0)
+# the emission and absorption weights of the spectral density on its
+# 8501-node lattice
+OMEGA_NODES = RATE_STEP * np.arange(8501)
 
 
-def test_spectral_branches_sum(so, pc, f5, ls):
-    em = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="emission")
-    ab = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="absorption")
-    both = gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="both")
-    assert np.allclose(em.values + ab.values, both.values, rtol=1e-12,
-                       atol=1e-15)
+def test_spectral_absorption_frozen_at_zero_kelvin():
+    em, ab = _thermal_weights(OMEGA_NODES, 0.0, 1)
+    assert np.all(ab == 0.0)
+    assert np.array_equal(em[0], OMEGA_NODES)
+
+
+def test_spectral_branches_sum():
+    # (n + 1) omega - n omega = omega, and kT - kT = 0 at omega = 0
+    for temperature_k in (5.0, 300.0, 2000.0):
+        em, ab = _thermal_weights(OMEGA_NODES, temperature_k, 1)
+        np.testing.assert_allclose(em[0] - ab[0], OMEGA_NODES, rtol=1e-12,
+                                   atol=1e-12 * thermal_energy(temperature_k))
 
 
 def test_spectral_emission_dominates_cold(so, pc, f5, ls):
-    em = integrate(gamma_e12_spectral(so, pc, f5, ls, 5.0,
-                                      branch="emission"))
-    ab = integrate(gamma_e12_spectral(so, pc, f5, ls, 5.0,
-                                      branch="absorption"))
-    assert em > 10.0 * ab
-
-
-def test_spectral_rejects_unknown_branch(so, pc, f5, ls):
-    with pytest.raises(ValueError):
-        gamma_e12_spectral(so, pc, f5, ls, 5.0, branch="updown")
+    em, ab = _thermal_weights(OMEGA_NODES, 5.0, 1)
+    emission = np.trapezoid(em[0] * f5.sample(ls.delta - OMEGA_NODES), OMEGA_NODES)
+    absorption = np.trapezoid(ab[0] * f5.sample(ls.delta + OMEGA_NODES), OMEGA_NODES)
+    assert emission > 10.0 * absorption
+    assert integrate(gamma_e12_spectral(so, pc, f5, ls, 5.0)) == pytest.approx(
+        rate_mev_to_mhz(8.0 * so.lambda_perp ** 2 * pc.eta_internal
+                        * (emission + absorption)), rel=1e-12)
 
 
 def test_finiteT_grows_when_warm(so, pc, model, f0, ls):
@@ -226,17 +239,17 @@ def test_finiteT_grows_when_warm(so, pc, model, f0, ls):
 # sweep kernel against the per-node integrals it replaced
 
 
-def _assisted_integral(f, delta, omega_cut, delta_prime, include_singlet_path,
-                       step=RATE_STEP):
+def _assisted_integral(f, delta, omega_cut, delta_prime, step=RATE_STEP):
     """Reference: the zero-temperature integral of one gap, sampled on its
-    own grid (the per-node code before the sweep kernel)."""
+    own grid (the per-node code before the sweep kernel); the interference
+    weight for a finite ``delta_prime``."""
     upper = min(delta, omega_cut)
     if upper <= 0:
         return 0.0
     n = max(2, int(math.ceil(upper / step)) + 1)
     om = np.linspace(0.0, upper, n)
     w = om.copy()
-    if include_singlet_path and math.isfinite(delta_prime):
+    if math.isfinite(delta_prime):
         w = om * (1.0 - 2.0 * om / (delta + delta_prime)) ** 2
     vals = w * f.sample(delta - om)
     return float(np.trapezoid(vals, om))
@@ -268,8 +281,7 @@ def _spectral_reference(so, pc, psb, ls, temperature_k, step=RATE_STEP,
     return GridFunction(0.0, h, coef * vals)
 
 
-def _reference_rates(so, pc, model, ls, temperature_k, axis, grid,
-                     include_singlet_path):
+def _reference_rates(so, pc, model, ls, temperature_k, axis, grid):
     """Per-node cold and warm assisted integrals over a gap or cutoff sweep,
     raising like the per-node gamma_e12_lowT where F(Delta) = 0."""
     f0 = model.calibrated_overlap(0.0)
@@ -287,25 +299,23 @@ def _reference_rates(so, pc, model, ls, temperature_k, axis, grid,
                 "ratio is undefined; use the finite-T form or a gap inside "
                 "the sideband support")
         cold.append(_assisted_integral(f0, ls_i.delta, pc_i.omega_mev,
-                                       ls_i.delta_prime, include_singlet_path))
+                                       ls_i.delta_prime))
         warm.append(integrate(_spectral_reference(so, pc_i, model, ls_i,
                                                   temperature_k)) / coef)
     return np.array(cold), np.array(warm)
 
 
-def _kernel_rates(pc, model, ls, temperature_k, axis, grid, step,
-                  include_singlet_path):
+def _kernel_rates(pc, model, ls, temperature_k, axis, grid, step):
     f0 = model.calibrated_overlap(0.0)
     f_t = model.calibrated_overlap(temperature_k)
     h = _lattice_step(step)
-    dp = ls.delta_prime if include_singlet_path else math.inf
     if axis == "delta":
         cold = _assisted_sweep(f0, grid, np.minimum(grid, pc.omega_mev), 0.0,
-                               h, dp)
+                               h, ls.delta_prime)
         warm = _assisted_sweep(f_t, grid, pc.omega_mev, temperature_k, h)
     else:
         cold = _assisted_sweep(f0, ls.delta, np.minimum(grid, ls.delta), 0.0,
-                               h, dp)
+                               h, ls.delta_prime)
         warm = _assisted_sweep(f_t, ls.delta, grid, temperature_k, h)
     return cold, warm
 
@@ -321,32 +331,33 @@ SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("singlet_path", [False, True],
+@pytest.mark.parametrize("delta_prime", [math.inf, 1190.0],
                          ids=["plain", "interference"])
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 @pytest.mark.parametrize("temperature_k", [0.0, 5.0, 48.6, 300.0, 2000.0])
 def test_sweep_kernel_matches_per_node_reference(so, pc, model, ls,
                                                  temperature_k, sweep,
-                                                 singlet_path):
+                                                 delta_prime):
     axis, lo, hi, step = SWEEPS[sweep]
     grid = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
+    ls = LevelSpacings(ls.delta, delta_prime)
     cold_ref, warm_ref = _reference_rates(so, pc, model, ls, temperature_k,
-                                          axis, grid, singlet_path)
-    cold, warm = _kernel_rates(pc, model, ls, temperature_k, axis, grid, step,
-                               singlet_path)
+                                          axis, grid)
+    cold, warm = _kernel_rates(pc, model, ls, temperature_k, axis, grid, step)
     np.testing.assert_allclose(cold, cold_ref, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(warm, warm_ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 @pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0])
-def test_error_map_matches_per_node_reference(so, pc, model, ls,
+def test_error_map_matches_per_node_reference(so, pc, model, ls, ls_plain,
                                               temperature_k, sweep):
+    # the error map compares plain weights whatever ls.delta_prime is
     axis, lo, hi, step = SWEEPS[sweep]
     errs = lowT_error_map(so, pc, model, ls, temperature_k, axis=axis, lo=lo,
                           hi=hi, step=step)
-    cold, warm = _reference_rates(so, pc, model, ls, temperature_k, axis,
-                                  errs.grid, False)
+    cold, warm = _reference_rates(so, pc, model, ls_plain, temperature_k, axis,
+                                  errs.grid)
     assert errs.size == cold.size
     np.testing.assert_allclose(errs.values, np.abs(warm - cold) / cold,
                                rtol=1e-9, atol=1e-12)
@@ -362,7 +373,7 @@ def test_error_map_rejects_gap_outside_support_like_reference(so, pc, model,
         ls_out, (lo, hi, step) = LevelSpacings(6000.0), (60.0, 110.0, 25.0)
     grid = lo + step * np.arange(int(math.floor((hi - lo) / step)) + 1)
     with pytest.raises(ValueError) as ref:
-        _reference_rates(so, pc, model, ls_out, 5.0, axis, grid, False)
+        _reference_rates(so, pc, model, ls_out, 5.0, axis, grid)
     with pytest.raises(ValueError) as new:
         lowT_error_map(so, pc, model, ls_out, 5.0, axis=axis, lo=lo, hi=hi,
                        step=step)
@@ -391,17 +402,18 @@ def test_cutoff_off_the_lattice_ends_with_a_partial_cell(model, ls,
     assert swept[1] == pytest.approx(exact, rel=1e-12)
 
 
-@pytest.mark.parametrize("singlet_path", [False, True])
+@pytest.mark.parametrize("interference", [False, True])
 @pytest.mark.parametrize("delta", [20.0, 84.995, 392.0, 430.3])
 def test_one_row_rates_match_reference(so, pc, model, f0, delta,
-                                       singlet_path):
-    ls_d = LevelSpacings(delta, 1190.0)
-    ref = _assisted_integral(f0, delta, pc.omega_mev, 1190.0, singlet_path)
+                                       interference):
+    delta_prime = 1190.0 if interference else math.inf
+    ls_d = LevelSpacings(delta, delta_prime)
+    ref = _assisted_integral(f0, delta, pc.omega_mev, delta_prime)
     fd = f0.sample(delta)
-    assert e12_a1_ratio(pc, f0, ls_d, singlet_path) == pytest.approx(
+    assert e12_a1_ratio(pc, f0, ls_d) == pytest.approx(
         (2.0 / math.pi) * pc.eta_internal * ref / fd, rel=1e-12)
     lp = so.lambda_perp
-    assert gamma_e12_lowT(so, pc, f0, ls_d, singlet_path).value_mhz == \
+    assert gamma_e12_lowT(so, pc, f0, ls_d).value_mhz == \
         pytest.approx(rate_mev_to_mhz(8.0 * lp * lp * pc.eta_internal * ref),
                       rel=1e-12)
 
@@ -411,16 +423,24 @@ def test_one_row_rates_match_reference(so, pc, model, f0, delta,
 @pytest.mark.parametrize("temperature_k", [0.0, 5.0, 300.0])
 def test_spectral_matches_reference(so, pc, model, ls, temperature_k, branch,
                                     step):
+    # both branches through gamma_e12_spectral, each branch alone through
+    # its _thermal_weights row times the overlap it weights
     f_t = model.calibrated_overlap(temperature_k)
-    new = gamma_e12_spectral(so, pc, f_t, ls, temperature_k, step, branch)
+    new = gamma_e12_spectral(so, pc, f_t, ls, temperature_k, step)
     ref = _spectral_reference(so, pc, model, ls, temperature_k, step, branch)
     assert new.step == ref.step and new.size == ref.size
+    if branch != "both":
+        em, ab = _thermal_weights(new.grid, temperature_k, 1)
+        weight, sign = (em, -1.0) if branch == "emission" else (ab, 1.0)
+        lp = so.lambda_perp
+        new = GridFunction(0.0, new.step, rate_mev_to_mhz(
+            8.0 * lp * lp * pc.eta_internal) * weight[0] * f_t.sample(
+                ls.delta + sign * new.grid))
     np.testing.assert_allclose(new.values, ref.values, rtol=1e-12,
                                atol=1e-15 * float(np.max(np.abs(ref.values))))
-    if branch == "both":
-        assert gamma_e12_finiteT(so, pc, f_t, ls, temperature_k,
-                                 step).value_mhz == pytest.approx(
-            integrate(ref), rel=1e-12)
+    if branch == "both" and step == RATE_STEP:
+        assert gamma_e12_finiteT(so, pc, f_t, ls, temperature_k).value_mhz == \
+            pytest.approx(integrate(ref), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +459,10 @@ def _a1_closure_band(so, f, delta):
     return tuple(rate(r) for r in so.ratio_band)
 
 
-def _lowT_closure_band(so, pc, f, ls, include_singlet_path):
+def _lowT_closure_band(so, pc, f, ls):
     """Reference: gamma_e12_lowT's old band closure, the assisted rate at
     the (ratio, eta) extremes on the per-node integral."""
-    integral = _assisted_integral(f, ls.delta, pc.omega_mev, ls.delta_prime,
-                                  include_singlet_path)
+    integral = _assisted_integral(f, ls.delta, pc.omega_mev, ls.delta_prime)
 
     def rate(ratio, eta_mhz):
         lp = so.lambda_par * ratio
@@ -457,9 +476,9 @@ def _lowT_closure_band(so, pc, f, ls, include_singlet_path):
 # each public rate as rate(so, pc, overlap at T, ls, T)
 BANDED_RATES = {
     "a1": lambda so, pc, f, ls, t: gamma_a1(so, f, ls.delta),
-    "lowT-plain": lambda so, pc, f, ls, t: gamma_e12_lowT(so, pc, f, ls),
-    "lowT-interference": lambda so, pc, f, ls, t: gamma_e12_lowT(
-        so, pc, f, ls, include_singlet_path=True),
+    "lowT-plain": lambda so, pc, f, ls, t: gamma_e12_lowT(
+        so, pc, f, LevelSpacings(ls.delta, math.inf)),
+    "lowT-interference": lambda so, pc, f, ls, t: gamma_e12_lowT(so, pc, f, ls),
     "finiteT": lambda so, pc, f, ls, t: gamma_e12_finiteT(so, pc, f, ls, t),
 }
 
@@ -485,8 +504,9 @@ def test_band_ends_are_the_rate_at_the_extremes(so, model, ls, rate,
         assert band == pytest.approx(_a1_closure_band(so, f, ls.delta),
                                      rel=1e-12)
     elif rate != "finiteT":
+        dp = ls.delta_prime if rate == "lowT-interference" else math.inf
         assert band == pytest.approx(
-            _lowT_closure_band(so, pc, f, ls, rate == "lowT-interference"),
+            _lowT_closure_band(so, pc, f, LevelSpacings(ls.delta, dp)),
             rel=1e-12)
 
 
