@@ -176,17 +176,6 @@ class OnePhononMixing:
     absorption_mhz: float
     linear_mhz: float
 
-    @property
-    def mean_mhz(self) -> float:
-        """Direction-averaged rate; this is what the linear form tracks
-        to O((delta_xy/kT)^2)."""
-        return 0.5 * (self.emission_mhz + self.absorption_mhz)
-
-    @property
-    def net_mhz(self) -> float:
-        """Emission minus absorption = 4 eta delta_xy^3 exactly."""
-        return self.emission_mhz - self.absorption_mhz
-
 
 def gamma_mix_one_phonon(mp: MixingParams) -> OnePhononMixing:
     """One-phonon mixing rates at the orbital splitting."""

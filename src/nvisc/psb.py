@@ -18,13 +18,16 @@ The series is built in closed form (the generating function of Lax,
 J. Chem. Phys. 20, 1752 (1952); Alkauskas et al., New J. Phys. 16,
 073026 (2014)): with g^ the discrete Fourier transform of h F_1, the
 transform of h F is exp(S g^ - S) - e^{-S}, so one real FFT replaces the
-convolution loop.  The output window is the span of the first
-i_max = poisson_i_max(S) terms, [i_max a, i_max b] for F_1 on [a, b];
-the FFT length is the smallest 2*3*5-smooth length covering it, so only
-terms beyond i_max (Poisson tail below 1e-9) can alias into the window.
+convolution loop.  The sideband is the law of a compound Poisson sum, so
+its tails obey the Chernoff bound (Chernoff, Ann. Math. Statist. 23, 493
+(1952)): the output window is cut where the bound leaves at most
+TAIL_EPS = 1e-15 of the mass beyond each edge (see _tail_window), and
+for F_1 on [a, b] with a >= 0 it starts no lower than a.  The FFT length
+is the smallest 2*3*5-smooth length covering the window, so the mass
+outside it, at most 2 TAIL_EPS, is all that can alias into it.
 The exponent has non-positive real part, so it cannot overflow at any S.
 FFT round-off negatives are clipped to 0; a sample below -1e-12 of the
-peak raises instead.  An FFT longer than MAX_SIDEBAND_NODES raises
+peak raises instead.  A window wider than MAX_SIDEBAND_NODES raises
 ArithmeticError before the FFT grid is allocated, which bounds the work
 at high T.
 
@@ -53,7 +56,6 @@ from .units import thermal_energy
 
 __all__ = [
     "thermal_occupation",
-    "poisson_i_max",
     "thermal_one_phonon",
     "huang_rhys",
     "forward_sideband",
@@ -71,10 +73,14 @@ DEFAULT_SUPPORT_CAP = 200.0
 # exponent guard: exp(x) for x > ~700 overflows a double
 _EXP_MAX = 700.0
 
-# work bound: the largest sideband FFT length (nodes) built; the grid
-# grows linearly with S(T), which passes it near T = 1e6 K on the
-# shipped model
+# work bound: the widest sideband window (nodes) built; the window grows
+# as sqrt(S(T)) at high T, and on the shipped model passes the limit
+# between 1e8 and 1e9 K
 MAX_SIDEBAND_NODES = 1 << 21
+
+# sideband tail mass left outside the FFT window on each side; it folds
+# back into the window
+TAIL_EPS = 1e-15
 
 # work bound for every other grid sized from user input (rate lattices,
 # gap, cutoff and temperature sweeps): the most nodes one call allocates,
@@ -118,17 +124,6 @@ def thermal_occupation(omega_mev, temperature_k: float):
         small = r < _EXP_MAX
         out[small] = 1.0 / np.expm1(r[small])
     return float(out) if np.ndim(omega_mev) == 0 else out
-
-
-def poisson_i_max(s: float) -> int:
-    """Number of Poisson terms whose span sets the sideband grid length.
-
-    max(20, ceil(s + 10 sqrt(s))) keeps the weight of the terms beyond it
-    below 1e-9 for any s.
-    """
-    if s < 0:
-        raise ValueError("mean phonon count must be >= 0")
-    return max(20, int(math.ceil(s + 10.0 * math.sqrt(s))))
 
 
 def thermal_one_phonon(f: GridFunction, temperature_k: float) -> GridFunction:
@@ -185,34 +180,85 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _tail_window(p: np.ndarray, k: np.ndarray, s: float) -> tuple[float, float]:
+    """Chernoff edges (x_lo, x_hi) of the compound Poisson law with jump
+    weights p at node indices k: at most TAIL_EPS of its mass lies above
+    x_hi, and at most TAIL_EPS below x_lo.
+
+    With M(t) = sum p e^{tk}, P(X >= x) <= exp(s (M(t) - 1) - t x) for
+    every t > 0, and P(X <= x) likewise for t < 0, so
+    x(t) = (s (M(t) - 1) - ln TAIL_EPS) / t bounds the upper edge for each
+    t > 0 and the lower edge for each t < 0.  |t| runs in half octaves up
+    to 8 times the Gaussian optimum t_g = sqrt(2 ln(1/eps) / (s m2)),
+    m2 = sum p k^2, from half of min(t_g, 1/sqrt(m2)): at small s the
+    optimum falls far below t_g, towards the scale of one jump.  ln M(t)
+    is a shifted log-sum-exp, so it neither overflows nor underflows; an
+    M(t) too large for a double gives an infinite x, a useless but valid
+    bound.
+    """
+    tail = -math.log(TAIL_EPS)
+    m2 = float(p @ (k * k))
+    t_gauss = math.sqrt(2.0 * tail / (s * m2))
+    t_min = 0.5 * min(t_gauss, 1.0 / math.sqrt(m2))
+    half_octaves = math.ceil(2.0 * math.log2(8.0 * t_gauss / t_min)) + 1
+    t = t_min * 2.0 ** (0.5 * np.arange(half_octaves))
+    t = np.concatenate([t, -t])
+    pos = p > 0.0
+    a = np.outer(t, k[pos])
+    a += np.log(p[pos])
+    top = a.max(axis=1)
+    a -= top[:, None]
+    np.exp(a, out=a)
+    with np.errstate(over="ignore"):
+        x = (s * np.expm1(top + np.log(a.sum(axis=1))) + tail) / t
+    return float(np.max(x[half_octaves:])), float(np.min(x[:half_octaves]))
+
+
 def _poisson_sideband(f1: GridFunction, s: float) -> GridFunction:
-    """e^{-s} sum_{i>=1} (s^i/i!) F_i on [i_max a, i_max b] by one real FFT
-    (see the module docstring).  h F_1 sits on a circular grid at index
-    round(omega/h) mod N.
+    """e^{-s} sum_{i>=1} (s^i/i!) F_i by one real FFT on the window that
+    _tail_window bounds (see the module docstring).  h F_1 sits on a
+    circular grid at index round(omega/h) mod N.
     """
     h = f1.step
-    a = f1.omega_min
+    if not s > 0.0:
+        if s == 0.0:
+            return GridFunction(f1.omega_min, h, np.zeros(f1.size))
+        raise ValueError(f"mean phonon count must be >= 0, got {s}")
+    ka = round(f1.omega_min / h)
     n1 = f1.size
-    i_max = poisson_i_max(s)
-    span = (n1 - 1) * i_max + 1
-    n_fft = _fft_length(span)
-    if n_fft > MAX_SIDEBAND_NODES:
+    weights = h * f1.values
+    x_lo, x_hi = _tail_window(weights, ka + np.arange(n1, dtype=float), s)
+    if ka >= 0:
+        # every term i >= 1 starts at i a, so a >= 0 bounds the law below
+        x_lo = max(x_lo, ka)
+    # the window rounded out to whole nodes holds at most x_hi - x_lo + 3
+    # of them; an infinite edge fails this test too
+    if not x_hi - x_lo + 3.0 <= MAX_SIDEBAND_NODES:
         raise ArithmeticError(
-            f"sideband at S = {s:.6g} needs a {n_fft}-node FFT, above the "
-            f"work limit of {MAX_SIDEBAND_NODES} nodes")
+            f"sideband at S = {s:.6g} needs a {x_hi - x_lo + 1:.6g}-node "
+            f"window, above the work limit of {MAX_SIDEBAND_NODES} nodes")
+    lo = math.floor(x_lo)
+    nodes = math.ceil(x_hi) - lo + 1
+    n_fft = _fft_length(max(nodes, n1))
     ring = np.zeros(n_fft)
-    ring[(round(a / h) + np.arange(n1)) % n_fft] = h * f1.values
+    ring[(ka + np.arange(n1)) % n_fft] = weights
+    g = np.fft.rfft(ring)
     # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow
-    spec = np.exp(s * np.fft.rfft(ring) - s) - math.exp(-s)
+    if s < 1.0:
+        # both terms are near 1 at small s: a difference of two expm1
+        # keeps the digits a plain difference loses (twice the cost)
+        spec = np.expm1(s * (g - 1.0)) - math.expm1(-s)
+    else:
+        spec = np.exp(s * g - s) - math.exp(-s)
     full = np.fft.irfft(spec, n_fft) / h
-    vals = full[(i_max * round(a / h) + np.arange(span)) % n_fft]
+    vals = np.take(full, np.arange(lo, lo + nodes), mode="wrap")
     if np.min(vals) < -1e-12 * float(np.max(vals)):
         raise ArithmeticError(
             f"closed-form sideband has negative samples down to "
             f"{np.min(vals):.3e}: FFT grid aliasing")
     # the series is non-negative; what remains below 0 is FFT round-off
     np.clip(vals, 0.0, None, out=vals)
-    return GridFunction(i_max * a, h, vals)
+    return GridFunction(lo * h, h, vals)
 
 
 def forward_sideband(f: GridFunction, s0: float) -> GridFunction:

@@ -25,17 +25,9 @@ def ghz_to_mev(nu_ghz: float) -> float:
     return nu_ghz / MEV_TO_GHZ
 
 
-def mev_to_ghz(e_mev: float) -> float:
-    return e_mev * MEV_TO_GHZ
-
-
 def rate_mev_to_mhz(e_mev: float) -> float:
     """Convert an internal rate energy hbar*Gamma (meV) to Gamma/2pi in MHz."""
     return e_mev * MEV_TO_MHZ
-
-
-def rate_mhz_to_mev(nu_mhz: float) -> float:
-    return nu_mhz / MEV_TO_MHZ
 
 
 def eta_mhz_to_internal(eta_mhz_per_mev3: float) -> float:

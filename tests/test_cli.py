@@ -415,7 +415,7 @@ def test_manifest_error_exits_2(config_path, tmp_path, capsys):
 
 
 def test_temperature_beyond_work_limit_exits_3(config_path, tmp_path, capsys):
-    p = config_with(config_path, tmp_path, "temperature_k", "1e6")
+    p = config_with(config_path, tmp_path, "temperature_k", "1e9")
     assert cli.main(["lifetime", "--config", str(p), "--out",
                      str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err

@@ -353,6 +353,19 @@ def test_lifetime_curves_one_overlap_lookup_per_temperature(so, pc, model,
     assert lookups == list(temps)
 
 
+def test_lifetime_sweep_to_40000_k_caches_few_overlap_nodes(so, pc):
+    # the sideband window grows as sqrt(S(T)), so the 81 cached overlaps
+    # of a 0-40000 K sweep on the shipped model hold about 2.3M nodes
+    # (a window of i_max times the one-phonon support held 21.6M)
+    shipped = PsbModel.from_manifest(DATA / "psb_manifest.txt")
+    lifetime_curves(so, pc, shipped, LevelSpacings(150.0, 1190.0),
+                    RateResult(13.2), HighTempParams(2000.0, 0.48),
+                    np.arange(0.0, 40000.0 + 1.0, 500.0))
+    cached = shipped._overlap_cache
+    assert len(cached) == 81
+    assert sum(g.size for g in cached.values()) <= 3_000_000
+
+
 def test_lifetime_curves_monotone_and_epsilon_order(so, pc, model):
     ls = LevelSpacings(150.0, 1190.0)
     g_rad = RateResult(13.2)

@@ -10,6 +10,7 @@ import nvisc
 from nvisc.gridfn import GridFunction, integrate, read_csv
 from nvisc.psb import (
     MAX_SIDEBAND_NODES,
+    TAIL_EPS,
     DeconvolutionError,
     PsbModel,
     _fft_length,
@@ -17,7 +18,6 @@ from nvisc.psb import (
     extract_one_phonon,
     forward_sideband,
     huang_rhys,
-    poisson_i_max,
     thermal_occupation,
     thermal_one_phonon,
     thermal_overlap,
@@ -85,16 +85,6 @@ def test_occupation_rejects_nonpositive_omega():
 def test_occupation_no_overflow():
     # omega/kT ~ 2.3e4: occupation is numerically 0, not an overflow
     assert thermal_occupation(1000.0, 0.5) == 0.0
-
-
-# -------------------------------------------------------- truncation
-
-
-def test_poisson_i_max_values():
-    assert poisson_i_max(0.0) == 20
-    assert poisson_i_max(3.49) == 23
-    assert poisson_i_max(3.49) >= math.ceil(3.49 + 10 * math.sqrt(3.49))
-    assert poisson_i_max(30.0) >= 30 + 10 * math.sqrt(30.0) - 1
 
 
 # ------------------------------------------------- thermal one-phonon
@@ -180,12 +170,18 @@ def test_forward_sideband_mass():
         assert integrate(fb) == pytest.approx(1 - math.exp(-s0), rel=1e-9)
 
 
+def poisson_terms(s):
+    """Term count of the wide references: the weight of the Poisson terms
+    beyond max(20, ceil(s + 10 sqrt(s))) is below 1e-9 for any s."""
+    return max(20, math.ceil(s + 10.0 * math.sqrt(s)))
+
+
 def convolution_series(f1, s):
     """Reference: explicit Poisson-weighted loop of discrete convolutions
-    on the window [i_max a, i_max b] of the first i_max terms.  Terms up
-    to 2 i_max are kept (cropped to the window), so the truncation tail
-    does not mask a difference."""
-    i_max = poisson_i_max(s)
+    on the window [i_max a, i_max b] of the first i_max = poisson_terms(s)
+    terms.  Terms up to 2 i_max are kept (cropped to the window), so the
+    truncation tail does not mask a difference."""
+    i_max = poisson_terms(s)
     h = f1.step
     final_min = i_max * f1.omega_min
     acc = np.zeros((f1.size - 1) * i_max + 1)
@@ -201,6 +197,32 @@ def convolution_series(f1, s):
     return GridFunction(final_min, h, acc)
 
 
+def wide_closed_form(f1, s):
+    """Reference: the closed form on the window [i_max a, i_max b] of the
+    first i_max = poisson_terms(s) terms, with an FFT long enough that only
+    the terms beyond i_max can alias into it."""
+    i_max = poisson_terms(s)
+    h = f1.step
+    ka = round(f1.omega_min / h)
+    span = (f1.size - 1) * i_max + 1
+    n = _fft_length(span)
+    ring = np.zeros(n)
+    ring[(ka + np.arange(f1.size)) % n] = h * f1.values
+    spec = np.expm1(s * (np.fft.rfft(ring) - 1.0)) - math.expm1(-s)
+    full = np.fft.irfft(spec, n) / h
+    return GridFunction(i_max * ka * h, h, full[(i_max * ka + np.arange(span)) % n])
+
+
+def window_of(got, ref):
+    """Values of the wider reference ``ref`` on the nodes of ``got``, and
+    the mass of ``ref`` outside them."""
+    assert got.step == ref.step
+    off = round((got.omega_min - ref.omega_min) / ref.step)
+    assert 0 <= off and off + got.size <= ref.size
+    inside = ref.values[off:off + got.size]
+    return inside, ref.step * (np.sum(ref.values) - np.sum(inside))
+
+
 @pytest.mark.parametrize("temperature_k", [0.0, 300.0])
 def test_closed_form_matches_convolution_series(temperature_k):
     f = smooth_density([18, 26], [3, 4], [0.6, 0.4], step=0.5, span=40.0,
@@ -210,10 +232,22 @@ def test_closed_form_matches_convolution_series(temperature_k):
     s = 3.49
     ref = convolution_series(f1, s)
     got = forward_sideband(f1, s)
-    assert got.omega_min == ref.omega_min
-    assert got.step == ref.step
-    assert got.size == ref.size
-    assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * np.max(ref.values)
+    inside, outside = window_of(got, ref)
+    assert np.max(np.abs(got.values - inside)) <= 1e-12 * np.max(ref.values)
+    assert outside <= 2 * TAIL_EPS
+
+
+@pytest.mark.parametrize("temperature_k", [0.0, 300.0])
+@pytest.mark.parametrize("s", [1e-3, 0.5, 3.49, 20.0, 100.0, 400.0])
+def test_tail_window_over_phonon_counts(s, temperature_k):
+    f1 = thermal_one_phonon(smooth_density([44, 64], [10, 9], [0.4, 0.6],
+                                           step=0.5), temperature_k)
+    f1 = f1.scaled(1.0 / integrate(f1))
+    got = forward_sideband(f1, s)
+    assert integrate(got) == pytest.approx(-math.expm1(-s), rel=1e-12)
+    ref = wide_closed_form(f1, s)
+    inside, _ = window_of(got, ref)
+    assert np.max(np.abs(got.values - inside)) <= 1e-12 * np.max(ref.values)
 
 
 def test_fft_length_is_smallest_smooth():
@@ -352,7 +386,7 @@ def _march_both(table, s0):
     h = table.step
     target = table.values * ((1.0 - math.exp(-s0)) / integrate(table))
     n_cap = min(table.size, int(math.floor(200.0 / h + 1e-9)) + 1)
-    ref, clipped = _term_by_term_march(target, h, s0, n_cap, poisson_i_max(s0))
+    ref, clipped = _term_by_term_march(target, h, s0, n_cap, poisson_terms(s0))
     return _marching_solve(target, h, s0, n_cap), ref, clipped
 
 
@@ -464,11 +498,11 @@ def test_overlap_nonnegative(temperature_k):
 
 
 def test_overlap_beyond_work_limit_raises():
-    # the shipped model needs about 8.8M FFT nodes at 1e6 K
+    # the shipped model's window is about 6.7M nodes wide at 1e9 K
     m = PsbModel.from_manifest(DATA / "psb_manifest.txt")
     with pytest.raises(ArithmeticError,
                        match=rf"S = [0-9.e+]+ .*work limit of {MAX_SIDEBAND_NODES} nodes"):
-        thermal_overlap(m, 1e6)
+        thermal_overlap(m, 1e9)
 
 
 # ------------------------------------------------------------ model
