@@ -165,7 +165,7 @@ def test_forward_sideband_poisson_comb():
 
 def test_forward_sideband_mass():
     f = smooth_density([44, 64, 90], [10, 9, 13], [0.3, 0.5, 0.2])
-    for s0 in (0.3, 1.0, 3.49):
+    for s0 in (0.0, 0.3, 1.0, 3.49):
         fb = forward_sideband(f, s0)
         assert integrate(fb) == pytest.approx(1 - math.exp(-s0), rel=1e-9)
 
