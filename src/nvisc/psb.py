@@ -17,9 +17,10 @@ calibrated amplitude.
 The series is built in closed form (the generating function of Lax,
 J. Chem. Phys. 20, 1752 (1952); Alkauskas et al., New J. Phys. 16,
 073026 (2014)): with g^ the discrete Fourier transform of h F_1, the
-transform of h F is exp(S g^ - S) - e^{-S}, so one real FFT replaces the
-convolution loop.  The sideband is the law of a compound Poisson sum, so
-its tails obey the Chernoff bound (Chernoff, Ann. Math. Statist. 23, 493
+transform of h F is exp(S g^ - S) - e^{-S}, evaluated at every S as
+expm1(S (g^ - 1)) - expm1(-S), so one real FFT replaces the convolution
+loop.  The sideband is the law of a compound Poisson sum, so its tails
+obey the Chernoff bound (Chernoff, Ann. Math. Statist. 23, 493
 (1952)): the output window is cut where the bound leaves at most
 TAIL_EPS = 1e-15 of the mass beyond each edge (see _tail_window), and
 for F_1 on [a, b] with a >= 0 it starts no lower than a.  The FFT length
@@ -243,13 +244,10 @@ def _poisson_sideband(f1: GridFunction, s: float) -> GridFunction:
     ring = np.zeros(n_fft)
     ring[(ka + np.arange(n1)) % n_fft] = weights
     g = np.fft.rfft(ring)
-    # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow
-    if s < 1.0:
-        # both terms are near 1 at small s: a difference of two expm1
-        # keeps the digits a plain difference loses (twice the cost)
-        spec = np.expm1(s * (g - 1.0)) - math.expm1(-s)
-    else:
-        spec = np.exp(s * g - s) - math.exp(-s)
+    # Re(s g^ - s) <= s (sum g - 1) = 0, so the exponent cannot overflow;
+    # at small s both terms are near 1, and a difference of two expm1
+    # keeps the digits a plain difference of exponentials loses
+    spec = np.expm1(s * (g - 1.0)) - math.expm1(-s)
     full = np.fft.irfft(spec, n_fft) / h
     vals = np.take(full, np.arange(lo, lo + nodes), mode="wrap")
     if np.min(vals) < -1e-12 * float(np.max(vals)):
