@@ -3,9 +3,8 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --seconds 30 --out BENCH_<n>.json
 
-Extracts ``--base`` with ``git archive`` into a temporary directory
-(``$TMPDIR``; no worktree is registered in the repository), then for
-seeds 1 .. pairs runs
+Checks out ``--base`` with ``git worktree add`` under a temporary
+directory, then for seeds 1 .. pairs runs
 ``perfbench/run.py --workload all --seed k --seconds S`` once in each
 tree, alternating which side runs first (base first on even seeds).
 The working tree must have no uncommitted changes to tracked files, so
@@ -150,20 +149,21 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp)
-        archive = subprocess.run(["git", "archive", base_sha], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
-        for seed in range(1, args.pairs + 1):
-            order = ("base", "change") if seed % 2 == 0 else ("change", "base")
-            for side in order:
-                tree = base_tree if side == "base" else ROOT
-                result = run_bench(tree, seed, args.seconds)
-                runs.append({"seed": seed, "side": side,
-                             "first": side == order[0], "result": result})
-                save()
-                print(f"seed {seed} {side}: correct={result['correct']} "
-                      f"failed={result['failed']}", file=sys.stderr, flush=True)
+        base_tree = Path(tmp) / "base"
+        git("worktree", "add", "--detach", str(base_tree), base_sha)
+        try:
+            for seed in range(1, args.pairs + 1):
+                order = ("base", "change") if seed % 2 == 0 else ("change", "base")
+                for side in order:
+                    tree = base_tree if side == "base" else ROOT
+                    result = run_bench(tree, seed, args.seconds)
+                    runs.append({"seed": seed, "side": side,
+                                 "first": side == order[0], "result": result})
+                    save()
+                    print(f"seed {seed} {side}: correct={result['correct']} "
+                          f"failed={result['failed']}", file=sys.stderr, flush=True)
+        finally:
+            git("worktree", "remove", "--force", str(base_tree))
     for line in verdict_lines(summarize(runs, specs)):
         print(line, file=sys.stderr)
     return 0 if all(r["result"]["correct"] and r["result"]["failed"] == 0
